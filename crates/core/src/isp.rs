@@ -14,7 +14,9 @@
 //!    elements included, under the dynamic metric of §IV-D), repair it if
 //!    broken, select the contributing demand that is hardest to route
 //!    elsewhere (Decision 1), and re-route the largest safe amount `dx`
-//!    through `v_BC` (Decision 2 — an LP).
+//!    through `v_BC` (Decision 2 — an LP, skipped when a sequential
+//!    max-flow routing of the split at its upper bound already fits; see
+//!    [`mcf::max_shared_split`]).
 //!
 //! The loop ends when the demand set is empty or routable on the working
 //! subgraph; the accumulated repair list is the recovery plan.
@@ -25,7 +27,7 @@ use crate::solver::{ProgressEvent, SolveContext};
 use crate::state::{IspState, EPS};
 use crate::{RecoveryError, RecoveryPlan, RecoveryProblem, RoutabilityMode};
 use netrec_graph::maxflow;
-use netrec_lp::mcf::{self, Demand};
+use netrec_lp::mcf;
 use serde::{Deserialize, Serialize};
 
 /// Which edge-length metric drives centrality and path selection.
@@ -356,8 +358,9 @@ fn split_step(
     Ok(false)
 }
 
-/// Decision 2: exact LP when configured and small enough, halving search
-/// against the routability oracle otherwise.
+/// Decision 2: exact answer when configured and small enough (a routing
+/// certificate at `upper`, else the split LP), halving search against the
+/// routability oracle otherwise.
 #[allow(clippy::too_many_arguments)]
 fn decide_split_amount(
     state: &IspState<'_>,
@@ -378,16 +381,12 @@ fn decide_split_amount(
         return Ok(dx.unwrap_or(0.0));
     }
     // Halving search with the (conservative) routability oracle.
-    let d = state.demands[h];
-    let mut dx = upper.min(d.amount);
+    let mut dx = upper.min(state.demands[h].amount);
     for _ in 0..24 {
         if dx <= EPS {
             return Ok(0.0);
         }
-        let mut candidate = state.demands.clone();
-        candidate[h].amount -= dx;
-        candidate.push(Demand::new(d.source, vbc, dx));
-        candidate.push(Demand::new(vbc, d.target, dx));
+        let candidate = mcf::split_demands(&state.demands, h, vbc, dx);
         if oracle.is_routable(&full, &candidate)? {
             return Ok(dx);
         }

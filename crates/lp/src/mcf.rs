@@ -5,9 +5,11 @@
 //!
 //! * [`routability`] — the *routability conditions*, system (2): does the
 //!   (working) supply graph have enough capacity to route every demand?
-//! * [`max_shared_split`] — the Decision-2 LP of ISP: the largest amount
-//!   `dx` of one demand that can be re-routed through a chosen node without
-//!   breaking routability of the whole instance.
+//! * [`max_shared_split`] — Decision 2 of ISP: the largest amount `dx` of
+//!   one demand that can be re-routed through a chosen node without
+//!   breaking routability of the whole instance. A feasible routing at
+//!   the upper bound ([`route_sequentially`]) certifies the answer without
+//!   an LP; the LP runs only when that routing fails.
 //! * [`min_broken_flow`] — LP (8): route all demands while minimizing the
 //!   cost-weighted flow crossing broken edges (the multi-commodity
 //!   relaxation behind the MCB/MCW baselines).
@@ -20,7 +22,8 @@
 
 use crate::problem::{LinTerm, LpProblem, Relation, Sense, VarId};
 use crate::{revised, simplex, LpEngine, LpError, LpStatus};
-use netrec_graph::{traversal, EdgeId, Graph, NodeId, View};
+use netrec_graph::{maxflow, traversal, EdgeId, Graph, NodeId, View};
+use std::cmp::Ordering;
 
 /// A demand pair `(s_h, t_h)` with its flow requirement `d_h`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -316,10 +319,79 @@ pub fn routability_with(
     }
 }
 
-/// Decision-2 LP of ISP: the largest `dx ∈ [0, cap]` such that replacing
+/// Routes `demands` one at a time, in list order, each by a Dinic max
+/// flow on the capacity the earlier demands left, scaled down to its
+/// amount.
+///
+/// A demand fits when its max-flow value is at least its amount; its
+/// scaled flow then carries exactly the amount and stays within the
+/// residual capacity, and `|flow|` is charged against that capacity
+/// (clamped at 0) before the next demand routes. If every demand fits,
+/// the per-demand flows form a feasible multicommodity flow — a witness
+/// that the instance is routable, found without an LP. `None` means some
+/// demand did not fit in list order; the instance may still be routable
+/// (a joint routing can leave room a greedy one uses up), so `None`
+/// proves nothing.
+///
+/// `flow[h]` of the result belongs to `demands[h]`; zero-amount and
+/// degenerate (`source == target`) demands carry no flow, as in
+/// [`routability`].
+pub fn route_sequentially(view: &View<'_>, demands: &[Demand]) -> Option<FlowAssignment> {
+    let m = view.edge_count();
+    let mut residual: Vec<f64> = (0..m)
+        .map(|e| view.capacity(EdgeId::new(e)).max(0.0))
+        .collect();
+    let mut flow = Vec::with_capacity(demands.len());
+    for d in demands {
+        if d.amount <= 0.0 || d.source == d.target {
+            flow.push(vec![0.0; m]);
+            continue;
+        }
+        let routed = maxflow::max_flow(&view.with_capacities(&residual), d.source, d.target);
+        // Incomparable (NaN) values reject too.
+        if matches!(
+            routed.value.partial_cmp(&d.amount),
+            None | Some(Ordering::Less)
+        ) {
+            return None;
+        }
+        let scale = d.amount / routed.value;
+        let mut f = routed.edge_flow;
+        for (x, r) in f.iter_mut().zip(residual.iter_mut()) {
+            *x *= scale;
+            *r = (*r - x.abs()).max(0.0);
+        }
+        flow.push(f);
+    }
+    Some(FlowAssignment { flow })
+}
+
+/// The demand list of a split by `dx`: demand `h` reduced to `d_h − dx`,
+/// followed by the two new pairs `(s_h, via, dx)` and `(via, t_h, dx)`.
+///
+/// # Panics
+///
+/// Panics if `h` is out of range for `demands`.
+pub fn split_demands(demands: &[Demand], h: usize, via: NodeId, dx: f64) -> Vec<Demand> {
+    let split = demands[h];
+    let mut all = Vec::with_capacity(demands.len() + 2);
+    all.extend_from_slice(demands);
+    all[h].amount -= dx;
+    all.push(Demand::new(split.source, via, dx));
+    all.push(Demand::new(via, split.target, dx));
+    all
+}
+
+/// Decision 2 of ISP: the largest `dx ∈ [0, cap]` such that replacing
 /// demand `h` (of `demands`) by `d_h − dx` plus two new pairs
 /// `(s_h, via, dx)` and `(via, t_h, dx)` keeps the instance routable on
 /// `view`.
+///
+/// The split at `dx = cap` is first routed by [`route_sequentially`]. If
+/// every demand fits, that routing is a feasible multicommodity flow, so
+/// `cap` — the LP's upper bound — is its optimum and is returned without
+/// an LP. Otherwise the LP is built and solved; it remains the exact
+/// answer for every split the routing cannot certify.
 ///
 /// Returns `Ok(None)` if the instance is unroutable even at `dx = 0`.
 ///
@@ -354,13 +426,28 @@ pub fn max_shared_split_with(
     engine: LpEngine,
 ) -> Result<Option<f64>, LpError> {
     assert!(h < demands.len(), "demand index out of range");
-    let split = demands[h];
-    let cap = cap.min(split.amount).max(0.0);
+    let cap = cap.min(demands[h].amount).max(0.0);
+    // `cap > 0` keeps a negative `d_h`, which the LP routes backwards and
+    // the routing would skip, on the LP path.
+    if cap > 0.0 && route_sequentially(view, &split_demands(demands, h, via, cap)).is_some() {
+        return Ok(Some(cap));
+    }
+    split_lp(view, demands, h, via, cap, engine)
+}
 
-    // Demand list: originals (with h reduced by dx) + the two new pairs.
-    let mut all: Vec<Demand> = demands.to_vec();
-    all.push(Demand::new(split.source, via, 0.0)); // + dx
-    all.push(Demand::new(via, split.target, 0.0)); // + dx
+/// The Decision-2 LP itself: maximize `dx ∈ [0, cap]` subject to the
+/// split instance being routable (`cap` already clamped to `[0, d_h]`).
+fn split_lp(
+    view: &View<'_>,
+    demands: &[Demand],
+    h: usize,
+    via: NodeId,
+    cap: f64,
+    engine: LpEngine,
+) -> Result<Option<f64>, LpError> {
+    // Demand list: the originals as given, then the two new pairs at a
+    // fixed amount of 0; the `dx` terms enter the balance rows below.
+    let all = split_demands(demands, h, via, 0.0);
 
     let active_idx: Vec<usize> = (0..all.len())
         .filter(|&i| {
@@ -1059,21 +1146,55 @@ mod tests {
         let g = square();
         let demands = [Demand::new(g.node(0), g.node(3), 8.0)];
         // Split via node 1: top route carries up to 10 ⇒ dx = 8 (all of it).
+        // The routing at dx = 8 fits, so it answers with no LP, and with
+        // exactly the upper bound.
+        let at_cap = split_demands(&demands, 0, g.node(1), 8.0);
+        assert!(route_sequentially(&g.view(), &at_cap).is_some());
         let dx = max_shared_split(&g.view(), &demands, 0, g.node(1), 8.0)
             .unwrap()
             .unwrap();
-        assert!((dx - 8.0).abs() < 1e-6);
+        assert_eq!(dx, 8.0);
     }
 
     #[test]
     fn max_split_limited_by_route_capacity() {
         let g = square();
         let demands = [Demand::new(g.node(0), g.node(3), 8.0)];
-        // Split via node 2: bottom route carries only 4.
+        // Split via node 2: bottom route carries only 4, so the routing at
+        // dx = 8 cannot fit and the LP answers.
+        let at_cap = split_demands(&demands, 0, g.node(2), 8.0);
+        assert!(route_sequentially(&g.view(), &at_cap).is_none());
         let dx = max_shared_split(&g.view(), &demands, 0, g.node(2), 8.0)
             .unwrap()
             .unwrap();
         assert!((dx - 4.0).abs() < 1e-6);
+        let lp = split_lp(&g.view(), &demands, 0, g.node(2), 8.0, LpEngine::Revised).unwrap();
+        assert_eq!(Some(dx), lp);
+    }
+
+    #[test]
+    fn max_split_falls_back_to_the_lp_when_list_order_routing_fails() {
+        // Triangle s=0, via=1, t=2: s–via 10, s–t 4, via–t 6. All 7 units
+        // of s→t fit through via: s→via on s–via alone, then via→t on
+        // via–t (6) plus via–s–t (1). Routing s→via first by max flow
+        // spreads it over both of its routes (5 on s–via, 2 on s–t–via),
+        // which leaves via→t only 4 + 2 = 6 < 7.
+        let mut g = Graph::with_nodes(3);
+        g.add_edge(g.node(0), g.node(1), 10.0).unwrap();
+        g.add_edge(g.node(0), g.node(2), 4.0).unwrap();
+        g.add_edge(g.node(1), g.node(2), 6.0).unwrap();
+        let demands = [Demand::new(g.node(0), g.node(2), 7.0)];
+        let at_cap = split_demands(&demands, 0, g.node(1), 7.0);
+        assert!(route_sequentially(&g.view(), &at_cap).is_none());
+        assert!(routability(&g.view(), &at_cap).unwrap().is_some());
+        for engine in [LpEngine::Revised, LpEngine::Dense] {
+            let dx = max_shared_split_with(&g.view(), &demands, 0, g.node(1), 7.0, engine)
+                .unwrap()
+                .unwrap();
+            assert!((dx - 7.0).abs() < 1e-6, "{engine:?}: {dx}");
+            let lp = split_lp(&g.view(), &demands, 0, g.node(1), 7.0, engine).unwrap();
+            assert_eq!(Some(dx), lp, "{engine:?}");
+        }
     }
 
     #[test]
@@ -1097,8 +1218,34 @@ mod tests {
     fn max_split_zero_when_instance_unroutable() {
         let g = square();
         let demands = [Demand::new(g.node(0), g.node(3), 20.0)];
+        let at_cap = split_demands(&demands, 0, g.node(1), 20.0);
+        assert!(route_sequentially(&g.view(), &at_cap).is_none());
         let res = max_shared_split(&g.view(), &demands, 0, g.node(1), 20.0).unwrap();
         assert!(res.is_none());
+    }
+
+    #[test]
+    fn sequential_routing_charges_earlier_demands() {
+        let g = square();
+        // The two routes carry 14 in all: 7 + 6 units fit, 7 + 8 do not.
+        let fits = [
+            Demand::new(g.node(0), g.node(3), 7.0),
+            Demand::new(g.node(3), g.node(0), 6.0),
+        ];
+        let flows = route_sequentially(&g.view(), &fits).unwrap();
+        assert_eq!(flows.flow.len(), 2);
+        for e in g.edges() {
+            assert!(flows.edge_load(e) <= g.capacity(e) + 1e-9);
+        }
+        let over = [fits[0], Demand::new(g.node(3), g.node(0), 8.0)];
+        assert!(route_sequentially(&g.view(), &over).is_none());
+        // Zero and degenerate demands carry no flow and never fail.
+        let idle = [
+            Demand::new(g.node(0), g.node(3), 0.0),
+            Demand::new(g.node(2), g.node(2), 50.0),
+        ];
+        let flows = route_sequentially(&g.view(), &idle).unwrap();
+        assert!(flows.used_edges(0.0).is_empty());
     }
 
     #[test]

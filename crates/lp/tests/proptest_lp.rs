@@ -1,13 +1,73 @@
 //! Property-based tests of the LP substrate: simplex correctness via
 //! primal feasibility + weak duality witnesses, MILP vs exhaustive
-//! enumeration, and concurrent-flow bounds vs the exact LP.
+//! enumeration, concurrent-flow bounds vs the exact LP, and the
+//! sequential-routing certificate of the Decision-2 split.
 
-use netrec_graph::Graph;
+use netrec_graph::{Graph, View};
 use netrec_lp::concurrent::{max_concurrent_flow, ConcurrentFlowConfig};
-use netrec_lp::mcf::{self, Demand};
+use netrec_lp::mcf::{self, Demand, FlowAssignment};
 use netrec_lp::milp::{self, BranchBoundConfig};
-use netrec_lp::{simplex, LpProblem, LpStatus, Relation, Sense};
+use netrec_lp::{simplex, LpEngine, LpProblem, LpStatus, Relation, Sense};
 use proptest::prelude::*;
+
+/// Checks `flows` against `demands` on `view` without any LP: each
+/// demand's net outflow is its amount at the source, minus it at the
+/// target and zero elsewhere, and the summed |flow| on every edge stays
+/// within its capacity (zero on masked edges). Returns the first
+/// violation.
+fn check_flow(
+    view: &View<'_>,
+    demands: &[Demand],
+    flows: &FlowAssignment,
+    tol: f64,
+) -> Result<(), String> {
+    let g = view.graph();
+    if flows.flow.len() != demands.len() {
+        return Err(format!(
+            "{} flows for {} demands",
+            flows.flow.len(),
+            demands.len()
+        ));
+    }
+    for (k, (d, f)) in demands.iter().zip(&flows.flow).enumerate() {
+        let amount = if d.amount > 0.0 && d.source != d.target {
+            d.amount
+        } else {
+            0.0
+        };
+        for v in g.nodes() {
+            let mut out = 0.0;
+            for (e, _) in g.neighbors(v) {
+                let (u, _) = g.endpoints(e);
+                out += if v == u { f[e.index()] } else { -f[e.index()] };
+            }
+            let want = if v == d.source {
+                amount
+            } else if v == d.target {
+                -amount
+            } else {
+                0.0
+            };
+            if (out - want).abs() > tol {
+                return Err(format!(
+                    "demand {k} at {v:?}: net outflow {out}, want {want}"
+                ));
+            }
+        }
+    }
+    for e in g.edges() {
+        let cap = if view.edge_enabled(e) {
+            view.capacity(e)
+        } else {
+            0.0
+        };
+        let load = flows.edge_load(e);
+        if load > cap + tol {
+            return Err(format!("{e:?}: load {load} over capacity {cap}"));
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -151,6 +211,56 @@ proptest! {
                 Demand::new(g.node(1), g.node(2), d2 * shrink),
             ];
             prop_assert!(mcf::routability(&g.view(), &smaller).unwrap().is_some());
+        }
+    }
+
+    /// Whenever the sequential max-flow routing accepts a split at its
+    /// upper bound, its flows pass the independent conservation and
+    /// capacity check, both LP engines agree the split instance is
+    /// routable, and Decision 2 answers exactly that bound.
+    #[test]
+    fn sequential_routing_certifies_the_split(
+        n in 3usize..7,
+        edges in proptest::collection::vec((0usize..64, 0usize..64, 0.0f64..10.0), 3..10),
+        pairs in proptest::collection::vec((0usize..64, 0usize..64, 0.5f64..8.0), 1..4),
+        masked in 0usize..64,
+        pick in 0usize..64,
+        via_at in 0usize..64,
+        cap_frac in 0.0f64..1.3,
+    ) {
+        let mut g = Graph::with_nodes(n);
+        for &(u, v, c) in &edges {
+            if u % n != v % n {
+                // Thin draws become broken (zero-capacity) edges.
+                let c = if c < 1.0 { 0.0 } else { c };
+                g.add_edge(g.node(u % n), g.node(v % n), c).unwrap();
+            }
+        }
+        let demands: Vec<Demand> = pairs
+            .iter()
+            .map(|&(s, t, amount)| Demand::new(g.node(s % n), g.node(t % n), amount))
+            .collect();
+        // One node in four cases is masked out, as a damaged node is.
+        let mask: Vec<bool> = (0..n).map(|i| masked % (4 * n) != i).collect();
+        let view = g.view().with_node_mask(&mask);
+        let h = pick % demands.len();
+        let via = g.node(via_at % n);
+        let cap = demands[h].amount * cap_frac;
+        let bound = cap.min(demands[h].amount).max(0.0);
+        let at_bound = mcf::split_demands(&demands, h, via, bound);
+        let routed = mcf::route_sequentially(&view, &at_bound);
+        prop_assume!(routed.is_some() && bound > 0.0);
+        let flows = routed.unwrap();
+        if let Err(why) = check_flow(&view, &at_bound, &flows, 1e-9) {
+            prop_assert!(false, "certificate flows are infeasible: {}", why);
+        }
+        for engine in [LpEngine::Revised, LpEngine::Dense] {
+            prop_assert!(
+                mcf::routability_with(&view, &at_bound, engine).unwrap().is_some(),
+                "{:?} calls the certified split unroutable", engine
+            );
+            let dx = mcf::max_shared_split_with(&view, &demands, h, via, cap, engine).unwrap();
+            prop_assert_eq!(dx, Some(bound));
         }
     }
 }

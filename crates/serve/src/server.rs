@@ -29,9 +29,10 @@
 //! service times — only `shutdown` bypasses the bound, so the drain
 //! path survives any overload.
 //!
-//! Latency is recorded per operation as each request is processed and
-//! summarized (count, p50, p99) in a [`ServeReport`]; the CLI prints it
-//! to stderr so stdout stays pure protocol.
+//! Latency is recorded per operation as each request is processed, into
+//! a fixed-size log-linear histogram (8 sub-buckets per power of two),
+//! and summarized (count, p50, p99) in a [`ServeReport`]; the CLI prints
+//! it to stderr so stdout stays pure protocol.
 
 use crate::engine::Engine;
 use crate::protocol::{Op, Request, Response};
@@ -132,7 +133,14 @@ impl Default for SchedState {
 
 struct Scheduler {
     state: Mutex<SchedState>,
+    /// Wakes workers: work was queued, a session freed up, or the pool
+    /// is stopping. Only [`Scheduler::next`] waits on it, so
+    /// [`Scheduler::enqueue`]'s single wakeup always reaches a worker.
     cv: Condvar,
+    /// Wakes the checkpoint side: paused admissions in
+    /// [`Scheduler::reserve`] (the pause lifted) and the drain in
+    /// [`Scheduler::pause_and_drain`] (`in_flight` fell).
+    admit_cv: Condvar,
     workers: usize,
     max_queue: usize,
     max_session_queue: usize,
@@ -143,6 +151,7 @@ impl Scheduler {
         Scheduler {
             state: Mutex::new(SchedState::default()),
             cv: Condvar::new(),
+            admit_cv: Condvar::new(),
             workers: workers.max(1),
             max_queue: config.max_queue.max(1),
             max_session_queue: config.max_session_queue.max(1),
@@ -173,7 +182,10 @@ impl Scheduler {
     fn reserve(&self, session: &str, force: bool) -> Result<(), u64> {
         let mut st = self.lock();
         while st.paused && !force {
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st = self
+                .admit_cv
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         if !force {
             let session_pending = st.per_session.get(session).map_or(0, VecDeque::len);
@@ -193,6 +205,7 @@ impl Scheduler {
         let mut st = self.lock();
         st.in_flight -= 1;
         self.cv.notify_all();
+        self.admit_cv.notify_all();
     }
 
     /// Phase two of admission: queues a reserved job for the pool.
@@ -216,14 +229,17 @@ impl Scheduler {
         let mut st = self.lock();
         st.paused = true;
         while st.in_flight > 0 {
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st = self
+                .admit_cv
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Lifts the checkpoint pause.
     fn resume(&self) {
         self.lock().paused = false;
-        self.cv.notify_all();
+        self.admit_cv.notify_all();
     }
 
     /// Jobs admitted and not yet completed (the `health` op's queue
@@ -282,6 +298,7 @@ impl Scheduler {
         st.in_flight -= 1;
         st.ewma_us = 0.8 * st.ewma_us + 0.2 * service_time.as_micros() as f64;
         self.cv.notify_all();
+        self.admit_cv.notify_all();
     }
 
     fn stop(&self) {
@@ -323,9 +340,13 @@ impl ConnOut {
         loop {
             let next = inner.next;
             match inner.buffered.remove(&next) {
-                Some(line) => {
+                Some(mut line) => {
                     inner.next += 1;
-                    let _ = writeln!(inner.sink, "{line}");
+                    // One write per reply: a separate newline write
+                    // would sit behind Nagle's algorithm until the
+                    // client's delayed ACK.
+                    line.push('\n');
+                    let _ = inner.sink.write_all(line.as_bytes());
                 }
                 None => break,
             }
@@ -334,9 +355,85 @@ impl ConnOut {
     }
 }
 
-/// Per-op latency samples in microseconds.
+/// Sub-buckets per power of two in a [`Histogram`] (relative bucket
+/// width ≤ 1/8).
+const SUB_BUCKETS: usize = 8;
+/// log2 of [`SUB_BUCKETS`].
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+/// Buckets covering all of `u64`: one per value below [`SUB_BUCKETS`],
+/// then [`SUB_BUCKETS`] per power of two from there up.
+const BUCKETS: usize = SUB_BUCKETS * (64 - SUB_BITS as usize + 1);
+
+/// A log-linear histogram of microsecond latencies with a fixed-size
+/// bucket table: values below 8 get exact buckets, and every power of
+/// two `[2^k, 2^(k+1))` above splits into 8 equal sub-buckets. Memory
+/// stays constant however many samples a long-lived daemon records.
+struct Histogram {
+    counts: Box<[u64; BUCKETS]>,
+    total: u64,
+    max: u64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            counts: Box::new([0; BUCKETS]),
+            total: 0,
+            max: 0,
+        }
+    }
+}
+
+impl Histogram {
+    /// The bucket holding `v`.
+    fn bucket(v: u64) -> usize {
+        if v < SUB_BUCKETS as u64 {
+            return v as usize;
+        }
+        let k = 63 - v.leading_zeros(); // ≥ SUB_BITS
+        let sub = (v >> (k - SUB_BITS)) as usize & (SUB_BUCKETS - 1);
+        (k - SUB_BITS + 1) as usize * SUB_BUCKETS + sub
+    }
+
+    /// The largest value bucket `i` holds.
+    fn bucket_max(i: usize) -> u64 {
+        if i < SUB_BUCKETS {
+            return i as u64;
+        }
+        let shift = (i / SUB_BUCKETS - 1) as u32;
+        let low = ((SUB_BUCKETS + i % SUB_BUCKETS) as u64) << shift;
+        low + ((1u64 << shift) - 1)
+    }
+
+    fn record(&mut self, v: u64) {
+        self.counts[Self::bucket(v)] += 1;
+        self.total += 1;
+        self.max = self.max.max(v);
+    }
+
+    /// The `pct`-th percentile, by the same rank rule as indexing the
+    /// sorted samples at `(count − 1)·pct/100`, reported as the upper
+    /// edge of the bucket that rank falls in (never above the largest
+    /// sample).
+    fn percentile(&self, pct: u64) -> u64 {
+        if self.total == 0 {
+            return 0;
+        }
+        let rank = (self.total - 1) * pct / 100;
+        let mut seen = 0;
+        for (i, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen > rank {
+                return Self::bucket_max(i).min(self.max);
+            }
+        }
+        self.max
+    }
+}
+
+/// Per-op latency histograms in microseconds.
 #[derive(Default)]
-struct Latencies(Mutex<HashMap<String, Vec<u64>>>);
+struct Latencies(Mutex<HashMap<String, Histogram>>);
 
 impl Latencies {
     fn record(&self, op: &str, elapsed: Duration) {
@@ -345,7 +442,7 @@ impl Latencies {
             .unwrap_or_else(PoisonError::into_inner)
             .entry(op.to_string())
             .or_default()
-            .push(elapsed.as_micros() as u64);
+            .record(elapsed.as_micros() as u64);
     }
 }
 
@@ -390,14 +487,6 @@ impl ServeReport {
     pub fn op(&self, op: &str) -> Option<&OpLatency> {
         self.per_op.iter().find(|l| l.op == op)
     }
-}
-
-fn percentile(sorted: &[u64], pct: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as u64 * pct).div_euclid(100) as usize;
-    sorted[idx]
 }
 
 /// State shared by the reader threads and the worker pool.
@@ -640,6 +729,10 @@ impl Server {
             match listener.accept() {
                 Ok((stream, _addr)) => {
                     stream.set_nonblocking(false)?;
+                    // Replies go out as soon as they are written; the
+                    // client's next request should not have to wait
+                    // for an ACK first.
+                    stream.set_nodelay(true)?;
                     // Finite read timeout so the connection thread
                     // notices shutdown even when its client stays
                     // silent with the socket open (half-open hardening:
@@ -702,15 +795,11 @@ impl Server {
             .unwrap_or_else(PoisonError::into_inner);
         let mut per_op: Vec<OpLatency> = table
             .iter()
-            .map(|(op, samples)| {
-                let mut sorted = samples.clone();
-                sorted.sort_unstable();
-                OpLatency {
-                    op: op.clone(),
-                    count: sorted.len(),
-                    p50_us: percentile(&sorted, 50),
-                    p99_us: percentile(&sorted, 99),
-                }
+            .map(|(op, hist)| OpLatency {
+                op: op.clone(),
+                count: hist.total as usize,
+                p50_us: hist.percentile(50),
+                p99_us: hist.percentile(99),
             })
             .collect();
         per_op.sort_by(|a, b| a.op.cmp(&b.op));
@@ -1328,12 +1417,7 @@ not json at all
     fn tcp_round_trip_and_shutdown() {
         let engine = engine();
         let server = Arc::new(Server::new(Arc::clone(&engine), 2));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let acceptor = {
-            let server = Arc::clone(&server);
-            std::thread::spawn(move || server.serve_tcp(listener).unwrap())
-        };
+        let (addr, acceptor) = serve_loopback(&server);
 
         let mut client = TcpStream::connect(addr).unwrap();
         client
@@ -1368,12 +1452,7 @@ not json at all
             ..ServerConfig::default()
         };
         let server = Arc::new(Server::with_config(Arc::clone(&engine), 1, config));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let acceptor = {
-            let server = Arc::clone(&server);
-            std::thread::spawn(move || server.serve_tcp(listener).unwrap())
-        };
+        let (addr, acceptor) = serve_loopback(&server);
 
         // Client A: sends half a request (no newline) and goes silent —
         // a hung, half-open connection.
@@ -1422,5 +1501,188 @@ not json at all
             None,
             "the torn request never dispatched"
         );
+    }
+
+    /// The sorted-sample percentile the histogram replaces: the sample at
+    /// rank `(len − 1)·pct/100`.
+    fn sorted_percentile(sorted: &[u64], pct: u64) -> u64 {
+        if sorted.is_empty() {
+            return 0;
+        }
+        sorted[((sorted.len() - 1) as u64 * pct / 100) as usize]
+    }
+
+    #[test]
+    fn histogram_buckets_tile_the_value_range() {
+        // Bucket edges are contiguous: each bucket starts one past the
+        // previous one's largest value, and the last covers u64::MAX.
+        let mut next = 0u64;
+        for i in 0..BUCKETS {
+            assert_eq!(Histogram::bucket(next), i, "first value of bucket {i}");
+            let max = Histogram::bucket_max(i);
+            assert_eq!(Histogram::bucket(max), i, "last value of bucket {i}");
+            // Log-linear: a bucket is at most 1/8 as wide as its values.
+            assert!(
+                max - next <= next / SUB_BUCKETS as u64,
+                "bucket {i} too wide"
+            );
+            next = max.wrapping_add(1);
+        }
+        assert_eq!(next, 0, "the last bucket ends at u64::MAX");
+    }
+
+    #[test]
+    fn histogram_percentiles_land_within_one_bucket_of_sorted_samples() {
+        // Deterministic samples spread over six decades, heavy-tailed like
+        // a mix of warm queries and plans.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut samples = Vec::new();
+        let latencies = Latencies::default();
+        for _ in 0..20_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let decade = (state >> 60) % 6;
+            let v = (state >> 20) % 10u64.pow(decade as u32 + 1);
+            samples.push(v);
+            latencies.record("op", Duration::from_micros(v));
+        }
+        // One fixed-size bucket array per op, however many samples.
+        let table = latencies.0.lock().unwrap();
+        assert_eq!(table.len(), 1);
+        let hist = &table["op"];
+        assert_eq!(hist.total, samples.len() as u64);
+        samples.sort_unstable();
+        for pct in [0, 1, 10, 50, 90, 99, 100] {
+            let exact = sorted_percentile(&samples, pct);
+            let approx = hist.percentile(pct);
+            let (be, ba) = (Histogram::bucket(exact), Histogram::bucket(approx));
+            assert!(
+                be.abs_diff(ba) <= 1,
+                "p{pct}: histogram {approx} (bucket {ba}) vs sorted {exact} (bucket {be})"
+            );
+        }
+        assert_eq!(Histogram::default().percentile(50), 0, "empty histogram");
+    }
+
+    /// Boots `server` on a loopback listener; returns its address and
+    /// the acceptor thread.
+    fn serve_loopback(server: &Arc<Server>) -> (std::net::SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = Arc::clone(server);
+        let acceptor = std::thread::spawn(move || server.serve_tcp(listener).unwrap());
+        (addr, acceptor)
+    }
+
+    #[test]
+    fn tcp_replies_are_not_held_back_by_delayed_acks() {
+        // One request at a time from an otherwise idle client: a reply
+        // split over two writes waits for the client's delayed ACK
+        // (~40 ms a round trip on Linux, ~880 ms for these 20).
+        let engine = engine();
+        let server = Arc::new(Server::new(Arc::clone(&engine), 2));
+        let (addr, acceptor) = serve_loopback(&server);
+        let client = TcpStream::connect(addr).unwrap();
+        let mut writer = client.try_clone().unwrap();
+        let mut reader = BufReader::new(client);
+        let mut line = String::new();
+        let started = Instant::now();
+        for i in 0..20 {
+            writer
+                .write_all(
+                    format!("{{\"v\":1,\"id\":\"r{i}\",\"op\":\"query_routability\"}}\n")
+                        .as_bytes(),
+                )
+                .unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(Response::parse(line.trim_end()).unwrap().is_ok(), "{line}");
+        }
+        let elapsed = started.elapsed();
+        writer
+            .write_all(b"{\"v\":1,\"id\":\"z\",\"op\":\"shutdown\"}\n")
+            .unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        acceptor.join().unwrap();
+        Arc::try_unwrap(server)
+            .ok()
+            .expect("acceptor joined; sole owner")
+            .finish();
+        assert!(
+            elapsed < Duration::from_millis(400),
+            "20 sequential round trips took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn checkpoint_drain_cannot_swallow_a_worker_wakeup() {
+        // Two connections pipeline mixed requests into two workers while
+        // the log checkpoints every 4 records. If enqueue's wakeup could
+        // reach the checkpoint drain instead of an idle worker, a job
+        // admitted just before a pause would never run: in_flight never
+        // drains, the pause never lifts, and the daemon stops answering.
+        const PER_CONN: usize = 4_000;
+        let dir = wal_scratch("wedge");
+        let (wal, _) = Wal::open(&dir, SyncPolicy::Off, 4).unwrap();
+        let engine = Engine::new(problem(), SolverSpec::parse("isp").unwrap());
+        engine.attach_wal(Arc::new(wal));
+        let server = Arc::new(Server::new(Arc::new(engine), 2));
+        let (addr, acceptor) = serve_loopback(&server);
+
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for conn in 0..2 {
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                let client = TcpStream::connect(addr).unwrap();
+                let reader = BufReader::new(client.try_clone().unwrap());
+                let replies = std::thread::spawn(move || {
+                    reader
+                        .lines()
+                        .take(PER_CONN)
+                        .filter(|l| l.as_ref().is_ok_and(|l| Response::parse(l).is_ok()))
+                        .count()
+                });
+                let mut stream = String::new();
+                for i in 0..PER_CONN {
+                    let session = format!("c{conn}s{}", i % 2);
+                    let edge = (i / 4) % 4;
+                    let op = match i % 4 {
+                        0 => format!("\"op\":\"disrupt\",\"edges\":[{edge}],\"cost\":1.0"),
+                        2 => format!("\"op\":\"repair\",\"edges\":[{edge}]"),
+                        _ => "\"op\":\"query_routability\"".to_string(),
+                    };
+                    stream.push_str(&format!(
+                        "{{\"v\":1,\"id\":\"{conn}-{i}\",\"session\":\"{session}\",{op}}}\n"
+                    ));
+                }
+                let mut writer = client;
+                writer.write_all(stream.as_bytes()).unwrap();
+                let _ = done_tx.send(replies.join().unwrap());
+            });
+        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        for _ in 0..2 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let answered = done_rx
+                .recv_timeout(left)
+                .expect("the daemon stopped answering mid-stream (checkpoint wedge)");
+            assert_eq!(answered, PER_CONN, "every pipelined request answered");
+        }
+
+        let mut client = TcpStream::connect(addr).unwrap();
+        client
+            .write_all(b"{\"v\":1,\"id\":\"z\",\"op\":\"shutdown\"}\n")
+            .unwrap();
+        let mut line = String::new();
+        BufReader::new(client).read_line(&mut line).unwrap();
+        acceptor.join().unwrap();
+        let report = Arc::try_unwrap(server)
+            .ok()
+            .expect("acceptor joined; sole owner")
+            .finish();
+        assert_eq!(report.op("disrupt").unwrap().count, PER_CONN / 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
