@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netrec_bench::{bell_instance, problem_for};
 use netrec_core::oracle::{Cached, ConcurrentFlowApprox, ExactLp};
 use netrec_core::schedule::schedule_recovery_with_oracle;
-use netrec_core::{solve_isp, IspConfig, RecoveryProblem, RoutabilityMode, RoutabilityOracle};
+use netrec_core::{solve_isp, IspConfig, OracleSpec, RecoveryProblem, RoutabilityOracle};
 use netrec_disrupt::DisruptionModel;
 use netrec_lp::concurrent::routable_approx;
 use netrec_lp::mcf::routability;
@@ -49,14 +49,14 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("isp_exact", |b| {
         let config = IspConfig {
-            routability: RoutabilityMode::Exact,
+            oracle: OracleSpec::Exact,
             ..Default::default()
         };
         b.iter(|| solve_isp(black_box(&problem), &config).unwrap())
     });
     g.bench_function("isp_approx", |b| {
         let config = IspConfig {
-            routability: RoutabilityMode::Approx { epsilon: 0.05 },
+            oracle: OracleSpec::Approx { epsilon: 0.05 },
             exact_split_lp: false,
             ..Default::default()
         };

@@ -22,7 +22,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use netrec_bench::{bell_instance, problem_for};
 use netrec_core::isp::solve_isp_in;
 use netrec_core::solver::SolveContext;
-use netrec_core::{IspConfig, RoutabilityMode};
+use netrec_core::{IspConfig, OracleSpec};
 use netrec_disrupt::DisruptionModel;
 use netrec_lp::mcf::{self, WarmRoutability};
 use netrec_lp::LpEngine;
@@ -48,7 +48,7 @@ fn bench(c: &mut Criterion) {
     ] {
         g.bench_function(id, |b| {
             let config = IspConfig {
-                routability: RoutabilityMode::Exact,
+                oracle: OracleSpec::Exact,
                 ..Default::default()
             };
             b.iter(|| {

@@ -6,8 +6,9 @@
 //! with a light uniform disruption it writes `BENCH_scale.json` with:
 //!
 //! * `routability/<n>` — one default-oracle routability query on the
-//!   damaged working view (`RoutabilityMode::default()`: exact LP below
-//!   the `|E| · |EH|` size threshold, Garg–Könemann certificates above);
+//!   damaged working view (the solvers' default `OracleSpec::Auto`: exact
+//!   LP below the `|E| · |EH|` size threshold, Garg–Könemann
+//!   certificates above);
 //! * `isp/<n>` — a full `solve_isp_in` recovery solve on the instance;
 //! * `sched_step/<n>` — one scheduler frontier-scoring step:
 //!   `evaluate_batch` over a 16-candidate repair frontier;
@@ -31,7 +32,7 @@ use netrec_bench::problem_for;
 use netrec_core::isp::solve_isp_in;
 use netrec_core::oracle::Patch;
 use netrec_core::solver::SolveContext;
-use netrec_core::{IspConfig, RoutabilityMode};
+use netrec_core::IspConfig;
 use netrec_disrupt::DisruptionModel;
 use netrec_lp::{revised, LpEngine};
 use netrec_topology::demand::DemandSpec;
@@ -134,7 +135,7 @@ fn bench(c: &mut Criterion) {
         let demands = problem.demands();
         let (node_mask, edge_mask) = problem.working_masks();
 
-        let oracle = netrec_core::OracleBuilder::new(RoutabilityMode::default().into())
+        let oracle = netrec_core::OracleBuilder::new(IspConfig::default().oracle)
             .build()
             .unwrap();
         g.bench_function(BenchmarkId::new("routability", n), |b| {

@@ -17,9 +17,9 @@
 //! The pool is exponential in general (the paper skips these heuristics on
 //! large topologies); [`GreedyConfig`] caps the enumeration.
 
-use crate::oracle::OracleSpec;
+use crate::oracle::{OracleSpec, DEFAULT_SIZE_THRESHOLD};
 use crate::solver::{ProgressEvent, SolveContext};
-use crate::{RecoveryError, RecoveryPlan, RecoveryProblem, RoutabilityMode};
+use crate::{RecoveryError, RecoveryPlan, RecoveryProblem};
 use netrec_graph::{maxflow, path, EdgeId, NodeId, Path};
 use serde::{Deserialize, Serialize};
 
@@ -30,13 +30,12 @@ pub struct GreedyConfig {
     pub max_paths_per_pair: usize,
     /// Maximum hops per enumerated path.
     pub max_hops: usize,
-    /// Routability backend for GRD-NC's termination test. Superseded by
-    /// [`GreedyConfig::oracle`] when that is set.
-    pub routability: RoutabilityMode,
-    /// Evaluation-oracle backend for GRD-NC's termination test. `None`
-    /// derives the backend from [`GreedyConfig::routability`]. A cached
-    /// backend pays off when the same damaged state is probed repeatedly.
-    pub oracle: Option<OracleSpec>,
+    /// Evaluation-oracle backend for GRD-NC's termination test (GRD-COM
+    /// asks no routability question). Defaults to [`OracleSpec::Auto`] at
+    /// [`DEFAULT_SIZE_THRESHOLD`]; a [`SolveContext`] oracle override
+    /// supersedes it. A cached backend pays off when the same damaged
+    /// state is probed repeatedly.
+    pub oracle: OracleSpec,
 }
 
 impl Default for GreedyConfig {
@@ -44,8 +43,9 @@ impl Default for GreedyConfig {
         GreedyConfig {
             max_paths_per_pair: 1_000,
             max_hops: 28,
-            routability: RoutabilityMode::default(),
-            oracle: None,
+            oracle: OracleSpec::Auto {
+                threshold: DEFAULT_SIZE_THRESHOLD,
+            },
         }
     }
 }
@@ -272,9 +272,8 @@ pub fn solve_grd_nc(
 }
 
 /// Runs GRD-NC under an explicit [`SolveContext`]: the context's oracle
-/// override (when set) supersedes [`GreedyConfig::oracle`] and
-/// [`GreedyConfig::routability`], and the deadline/cancellation flag is
-/// checked once per repaired path.
+/// override (when set) supersedes [`GreedyConfig::oracle`], and the
+/// deadline/cancellation flag is checked once per repaired path.
 ///
 /// # Errors
 ///
@@ -297,12 +296,7 @@ pub fn solve_grd_nc_in(
     let (mut node_enabled, mut edge_enabled) = problem.working_masks();
 
     // One oracle instance serves the whole run's termination tests.
-    let spec = ctx.oracle_spec(
-        config
-            .oracle
-            .clone()
-            .unwrap_or_else(|| OracleSpec::from(config.routability)),
-    );
+    let spec = ctx.oracle_spec(config.oracle.clone());
     let oracle = crate::OracleBuilder::new(spec)
         .engine(ctx.lp_engine())
         .build()?;

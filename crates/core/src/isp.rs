@@ -22,10 +22,10 @@
 //! subgraph; the accumulated repair list is the recovery plan.
 
 use crate::centrality::{demand_centrality, DynamicMetric};
-use crate::oracle::{EvalOracle, OracleSpec, OracleStats};
+use crate::oracle::{EvalOracle, OracleSpec, OracleStats, DEFAULT_SIZE_THRESHOLD};
 use crate::solver::{ProgressEvent, SolveContext};
 use crate::state::{IspState, EPS};
-use crate::{RecoveryError, RecoveryPlan, RecoveryProblem, RoutabilityMode};
+use crate::{RecoveryError, RecoveryPlan, RecoveryProblem};
 use netrec_graph::maxflow;
 use netrec_lp::mcf;
 use serde::{Deserialize, Serialize};
@@ -50,21 +50,21 @@ pub struct IspConfig {
     /// The edge-length metric (dynamic per the paper, or a static
     /// hop-count ablation).
     pub metric: MetricMode,
-    /// Routability backend (exact LP vs concurrent-flow approximation).
-    /// Superseded by [`IspConfig::oracle`] when that is set.
-    pub routability: RoutabilityMode,
     /// Evaluation-oracle backend for every routability question ISP asks
     /// (feasibility precheck, loop termination, halving-search splits).
-    /// `None` derives the backend from [`IspConfig::routability`].
-    pub oracle: Option<OracleSpec>,
+    /// Defaults to [`OracleSpec::Auto`] at [`DEFAULT_SIZE_THRESHOLD`]:
+    /// the exact LP on small instances, the conservative concurrent-flow
+    /// approximation above the threshold. A [`SolveContext`] oracle
+    /// override supersedes it.
+    pub oracle: OracleSpec,
     /// How many top-centrality candidates to try per iteration before
     /// falling back to a forced repair.
     pub split_candidates: usize,
     /// Hard iteration guard; `None` derives `20·(|V|+|E|) + 100·|EH|`.
     pub max_iterations: Option<usize>,
-    /// Use the exact Decision-2 LP when the instance is small enough
-    /// (same threshold logic as `routability`); otherwise determine `dx`
-    /// by halving search with the routability oracle.
+    /// Use the exact Decision-2 LP when the oracle answers exactly for
+    /// the instance's size ([`OracleSpec::uses_exact_split`]); otherwise
+    /// determine `dx` by halving search with the routability oracle.
     pub exact_split_lp: bool,
 }
 
@@ -73,8 +73,9 @@ impl Default for IspConfig {
         IspConfig {
             length_const: 1.0,
             metric: MetricMode::Dynamic,
-            routability: RoutabilityMode::default(),
-            oracle: None,
+            oracle: OracleSpec::Auto {
+                threshold: DEFAULT_SIZE_THRESHOLD,
+            },
             split_candidates: 8,
             max_iterations: None,
             exact_split_lp: true,
@@ -148,10 +149,10 @@ pub fn solve_isp_with_stats(
 }
 
 /// Runs ISP under an explicit [`SolveContext`]: the context's oracle
-/// override (when set) supersedes [`IspConfig::oracle`] and
-/// [`IspConfig::routability`], the deadline/cancellation flag is checked
-/// once per main-loop iteration, and progress events are emitted for the
-/// precheck, the main loop, repair growth, and the final oracle counters.
+/// override (when set) supersedes [`IspConfig::oracle`], the
+/// deadline/cancellation flag is checked once per main-loop iteration,
+/// and progress events are emitted for the precheck, the main loop,
+/// repair growth, and the final oracle counters.
 ///
 /// # Errors
 ///
@@ -167,12 +168,7 @@ pub fn solve_isp_in(
 
     // One oracle instance serves every routability question of this run,
     // so cached backends accumulate reuse across iterations.
-    let spec = ctx.oracle_spec(
-        config
-            .oracle
-            .clone()
-            .unwrap_or_else(|| OracleSpec::from(config.routability)),
-    );
+    let spec = ctx.oracle_spec(config.oracle.clone());
     let engine = ctx.lp_engine();
     let oracle = crate::OracleBuilder::new(spec.clone())
         .engine(engine)
@@ -563,7 +559,7 @@ mod tests {
     fn approximate_mode_still_produces_feasible_plans() {
         let p = broken_square(8.0);
         let config = IspConfig {
-            routability: RoutabilityMode::Approx { epsilon: 0.05 },
+            oracle: crate::OracleSpec::Approx { epsilon: 0.05 },
             exact_split_lp: false,
             ..Default::default()
         };
@@ -580,7 +576,7 @@ mod tests {
             crate::OracleSpec::CachedApprox { epsilon: 0.05 },
         ] {
             let config = IspConfig {
-                oracle: Some(spec.clone()),
+                oracle: spec.clone(),
                 ..Default::default()
             };
             let (plan, stats) = solve_isp_with_stats(&p, &config).unwrap();

@@ -63,7 +63,6 @@
 mod error;
 mod plan;
 mod problem;
-mod routability;
 mod state;
 
 pub mod centrality;
@@ -72,6 +71,8 @@ pub mod fsio;
 pub mod heuristics;
 pub mod isp;
 pub mod oracle;
+#[cfg(test)]
+mod routability;
 pub mod schedule;
 pub mod solver;
 pub mod vulnerability;
@@ -85,5 +86,4 @@ pub use oracle::{
 };
 pub use plan::RecoveryPlan;
 pub use problem::{RecoveryProblem, StatePatch};
-pub use routability::RoutabilityMode;
 pub use solver::{RecoverySolver, SolveContext, SolverSpec};

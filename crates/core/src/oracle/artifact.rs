@@ -46,7 +46,9 @@ use super::canon::{
     canonicalize, extends, insert_maximal_capped, insert_minimal_capped, EffState, RawState,
     UnionFind,
 };
-use super::{Counter, EvalOracle, OracleStats, Patch, RoutabilityOracle, SatisfactionOracle};
+use super::{
+    Counter, EvalOracle, IncSnapshot, OracleStats, Patch, RoutabilityOracle, SatisfactionOracle,
+};
 use crate::fsio::{self, ContainerError};
 use crate::RecoveryError;
 use netrec_graph::{Graph, View};
@@ -752,6 +754,10 @@ impl EvalOracle for ArtifactOracle {
         self.artifact_hits.reset();
         self.artifact_misses.reset();
         self.inner.reset_stats();
+    }
+
+    fn warm_state(&self) -> Option<IncSnapshot> {
+        self.inner.warm_state()
     }
 
     fn evaluate_batch(

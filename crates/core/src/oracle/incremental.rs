@@ -385,6 +385,10 @@ impl EvalOracle for IncrementalOracle {
         self.inner.reset_stats();
     }
 
+    fn warm_state(&self) -> Option<IncSnapshot> {
+        Some(self.snapshot_state())
+    }
+
     /// Frontier scoring against one shared warm state: per candidate only
     /// the *delta* of effective edges is computed (O(degree)); candidates
     /// that change no effective edge reuse the base answer outright.

@@ -45,7 +45,7 @@ pub use cached::Cached;
 pub use exact::ExactLp;
 pub use incremental::{IncSnapshot, IncrementalOracle};
 
-use crate::{RecoveryError, RoutabilityMode};
+use crate::RecoveryError;
 use netrec_graph::{EdgeId, Graph, NodeId, View};
 use netrec_lp::mcf::Demand;
 use netrec_lp::LpEngine;
@@ -166,6 +166,15 @@ pub trait EvalOracle: RoutabilityOracle + SatisfactionOracle {
     /// boundaries so per-generation counters cannot drift into each
     /// other.
     fn reset_stats(&self);
+
+    /// The transferable warm state of the incremental backend behind
+    /// this oracle ([`IncrementalOracle::snapshot_state`]), or `None`
+    /// when there is none. [`OracleBuilder::warm_state`] seeds another
+    /// oracle with it — how a resident session forks warm. Decorators
+    /// forward to their inner backend.
+    fn warm_state(&self) -> Option<IncSnapshot> {
+        None
+    }
 
     /// Scores a whole candidate frontier in one call: for each patch, the
     /// **total** satisfied demand with that one component additionally
@@ -437,7 +446,7 @@ pub enum OracleSpec {
     },
     /// Exact below the size threshold on `|E| · |EH|`, approximate above.
     Auto {
-        /// Size threshold (same meaning as [`RoutabilityMode::Auto`]).
+        /// Size threshold on `|E| · |EH|`.
         threshold: usize,
     },
     /// Memoizing decorator over the exact backend.
@@ -466,7 +475,7 @@ pub const DEFAULT_EPSILON: f64 = 0.05;
 
 /// Default `|E| · |EH|` size threshold at which the stack switches from
 /// exact to approximate answers — shared by [`OracleSpec::Auto`] parsing,
-/// [`RoutabilityMode::Auto`]'s default, and the approximate backend's
+/// the solver configs' default oracle, and the approximate backend's
 /// exact-LP fast path, so tuning the crossover stays in one place.
 ///
 /// Recalibrated from the committed `BENCH_scale.json` time-vs-n sweep
@@ -488,44 +497,6 @@ pub const DEFAULT_EPSILON: f64 = 0.05;
 pub const DEFAULT_SIZE_THRESHOLD: usize = 8_000;
 
 impl OracleSpec {
-    /// Instantiates the backend on the process default LP engine.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `OracleBuilder::new(spec).build()` — the single front door \
-                for engine, artifact, warm-state, and instance concerns"
-    )]
-    pub fn build(&self) -> Box<dyn EvalOracle> {
-        #[allow(deprecated)]
-        self.build_with_engine(netrec_lp::global_engine())
-    }
-
-    /// Instantiates the backend on an explicit LP engine (the dense
-    /// escape hatch pins every solve the backend makes; the revised
-    /// default additionally enables the warm-start state).
-    ///
-    /// For [`OracleSpec::Artifact`] this shim cannot report a load
-    /// failure: a broken artifact file silently degrades to a plain
-    /// incremental backend. [`OracleBuilder::build`] returns the typed
-    /// error instead.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `OracleBuilder::new(spec).engine(engine).build()` — the \
-                single front door for engine, artifact, warm-state, and \
-                instance concerns"
-    )]
-    pub fn build_with_engine(&self, engine: LpEngine) -> Box<dyn EvalOracle> {
-        match self {
-            OracleSpec::Artifact { .. } => OracleBuilder::new(self.clone())
-                .engine(engine)
-                .build()
-                .unwrap_or_else(|_| Box::new(IncrementalOracle::with_engine(engine))),
-            other => OracleBuilder::new(other.clone())
-                .engine(engine)
-                .build()
-                .expect("non-artifact specs build infallibly"),
-        }
-    }
-
     /// Parses a CLI argument: `exact`, `approx`, `approx:<eps>`, `auto`,
     /// `auto:<threshold>`, `cached` / `cached-exact`, `cached-approx`,
     /// `cached-approx:<eps>`, `incremental`, `artifact:path=<file>`
@@ -583,8 +554,9 @@ impl OracleSpec {
     }
 
     /// Whether ISP's Decision-2 split should use the exact LP for an
-    /// instance of the given size (mirrors
-    /// [`RoutabilityMode::uses_exact`]).
+    /// instance of `enabled_edges` edges and `demands` demands: always
+    /// under the exact backends, never under the approximate ones, and
+    /// by size under [`OracleSpec::Auto`].
     pub fn uses_exact_split(&self, enabled_edges: usize, demands: usize) -> bool {
         match self {
             OracleSpec::Exact
@@ -661,10 +633,9 @@ impl OracleBuilder {
     }
 
     /// Seeds the incremental backend with transferable warm state
-    /// (witnesses + generation) from
-    /// [`IncrementalOracle::snapshot_state`]. This is how a resident
-    /// session forks warm state; specs without an incremental backend
-    /// ignore it.
+    /// (witnesses + generation) from [`EvalOracle::warm_state`]. This is
+    /// how a resident session forks warm state; specs without an
+    /// incremental backend ignore it.
     pub fn warm_state(mut self, snapshot: &IncSnapshot) -> Self {
         self.warm = Some(snapshot.clone());
         self
@@ -736,16 +707,6 @@ impl OracleBuilder {
             Some(artifact) => Box::new(ArtifactOracle::new(artifact, base)),
             None => base,
         })
-    }
-}
-
-impl From<RoutabilityMode> for OracleSpec {
-    fn from(mode: RoutabilityMode) -> Self {
-        match mode {
-            RoutabilityMode::Exact => OracleSpec::Exact,
-            RoutabilityMode::Approx { epsilon } => OracleSpec::Approx { epsilon },
-            RoutabilityMode::Auto { threshold } => OracleSpec::Auto { threshold },
-        }
     }
 }
 
@@ -937,6 +898,9 @@ mod tests {
         let g = square();
         let fits = [Demand::new(g.node(0), g.node(3), 8.0)];
         let over = [Demand::new(g.node(0), g.node(3), 20.0)];
+        // Both edges into node 3 down: the pair is disconnected.
+        let cut = vec![true, false, true, false];
+        let disconnected = g.view().with_edge_mask(&cut);
         for spec in [
             OracleSpec::Exact,
             OracleSpec::Approx { epsilon: 0.05 },
@@ -947,6 +911,8 @@ mod tests {
             let oracle = OracleBuilder::new(spec.clone()).build().unwrap();
             assert!(oracle.is_routable(&g.view(), &fits).unwrap(), "{spec}");
             assert!(!oracle.is_routable(&g.view(), &over).unwrap(), "{spec}");
+            assert!(oracle.is_routable(&g.view(), &[]).unwrap(), "{spec}");
+            assert!(!oracle.is_routable(&disconnected, &fits).unwrap(), "{spec}");
             let sat = oracle.satisfied(&g.view(), &fits).unwrap();
             assert!((sat[0] - 8.0).abs() < 1e-6, "{spec}: {sat:?}");
         }
@@ -1040,12 +1006,10 @@ mod tests {
 
     #[test]
     fn routability_mode_conversion() {
-        assert_eq!(OracleSpec::from(RoutabilityMode::Exact), OracleSpec::Exact);
-        assert_eq!(
-            OracleSpec::from(RoutabilityMode::Auto { threshold: 9 }),
-            OracleSpec::Auto { threshold: 9 }
-        );
+        // Each routability mode (an `OracleSpec`) converts into ISP's
+        // Decision-2 split choice.
         assert!(OracleSpec::Exact.uses_exact_split(1_000_000, 10));
+        assert!(OracleSpec::Incremental.uses_exact_split(1_000_000, 100));
         assert!(!OracleSpec::Approx { epsilon: 0.1 }.uses_exact_split(1, 1));
         assert!(OracleSpec::Auto { threshold: 10 }.uses_exact_split(5, 2));
         assert!(!OracleSpec::Auto { threshold: 10 }.uses_exact_split(11, 1));

@@ -1,91 +1,13 @@
-//! The routability test (paper §IV-A) with exact and approximate backends.
-//!
-//! The exact backend solves system (2) with the two-phase simplex — the
-//! paper's approach. On large instances the dense tableau becomes the
-//! bottleneck, so an [`RoutabilityMode::Auto`] mode switches to the
-//! Garg–Könemann concurrent-flow oracle, whose `λ ≥ 1` answer is
-//! *conservative*: it never certifies an unroutable instance as routable,
-//! so ISP plans remain feasible (it may repair slightly more). This
-//! substitution is documented in `DESIGN.md` and measured by the
-//! `ablation_routability` bench.
-//!
-//! `RoutabilityMode` is the legacy (pre-oracle) selection knob; it now
-//! delegates to the [`crate::oracle`] backends and converts losslessly
-//! into an [`crate::OracleSpec`].
+//! Tests of the routability question (paper §IV-A, system (2)) as the
+//! solvers ask it: through the exact, approximate and size-switching
+//! [`OracleSpec`](crate::OracleSpec)s a solver config selects, each built by
+//! [`OracleBuilder`](crate::OracleBuilder). The default selector is the solver configs' own
+//! default oracle.
 
-use crate::oracle::{ConcurrentFlowApprox, ExactLp, RoutabilityOracle};
-use crate::RecoveryError;
-use netrec_graph::View;
-use netrec_lp::mcf::Demand;
-use serde::{Deserialize, Serialize};
-
-/// Which routability backend to use.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum RoutabilityMode {
-    /// Always the exact LP (system (2)).
-    Exact,
-    /// Always the Garg–Könemann approximation with accuracy ε.
-    Approx {
-        /// Accuracy parameter ε ∈ (0, 1/3).
-        epsilon: f64,
-    },
-    /// Exact when `enabled_edges × demands` is at most the threshold,
-    /// approximate above it.
-    Auto {
-        /// Size threshold on `|E| · |EH|`.
-        threshold: usize,
-    },
-}
-
-impl Default for RoutabilityMode {
-    fn default() -> Self {
-        RoutabilityMode::Auto {
-            threshold: crate::oracle::DEFAULT_SIZE_THRESHOLD,
-        }
-    }
-}
-
-impl RoutabilityMode {
-    /// Whether the exact LP will be used for an instance of the given size.
-    pub fn uses_exact(&self, enabled_edges: usize, demands: usize) -> bool {
-        match self {
-            RoutabilityMode::Exact => true,
-            RoutabilityMode::Approx { .. } => false,
-            RoutabilityMode::Auto { threshold } => enabled_edges * demands <= *threshold,
-        }
-    }
-
-    /// Tests whether `demands` are routable in `view`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates exact-LP solver failures.
-    pub fn routable(&self, view: &View<'_>, demands: &[Demand]) -> Result<bool, RecoveryError> {
-        let active: Vec<Demand> = demands
-            .iter()
-            .copied()
-            .filter(|d| d.amount > 1e-12 && d.source != d.target)
-            .collect();
-        if active.is_empty() {
-            return Ok(true);
-        }
-        let enabled_edges = view.enabled_edges().count();
-        if self.uses_exact(enabled_edges, active.len()) {
-            ExactLp::new().is_routable(view, &active)
-        } else {
-            let eps = match self {
-                RoutabilityMode::Approx { epsilon } => *epsilon,
-                _ => 0.05,
-            };
-            ConcurrentFlowApprox::new(eps).is_routable(view, &active)
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use netrec_graph::Graph;
+    use crate::{IspConfig, OracleBuilder, OracleSpec};
+    use netrec_graph::{Graph, View};
+    use netrec_lp::mcf::Demand;
 
     fn line() -> Graph {
         let mut g = Graph::with_nodes(3);
@@ -94,34 +16,48 @@ mod tests {
         g
     }
 
+    fn routable(spec: &OracleSpec, view: &View<'_>, demands: &[Demand]) -> bool {
+        let oracle = OracleBuilder::new(spec.clone()).build().unwrap();
+        oracle.is_routable(view, demands).unwrap()
+    }
+
     #[test]
     fn exact_and_approx_agree_on_clear_cases() {
         let g = line();
         let fits = [Demand::new(g.node(0), g.node(2), 4.0)];
         let over = [Demand::new(g.node(0), g.node(2), 6.0)];
-        for mode in [
-            RoutabilityMode::Exact,
-            RoutabilityMode::Approx { epsilon: 0.05 },
-            RoutabilityMode::default(),
+        for spec in [
+            OracleSpec::Exact,
+            OracleSpec::Approx { epsilon: 0.05 },
+            IspConfig::default().oracle,
         ] {
-            assert!(mode.routable(&g.view(), &fits).unwrap(), "{mode:?}");
-            assert!(!mode.routable(&g.view(), &over).unwrap(), "{mode:?}");
+            assert!(routable(&spec, &g.view(), &fits), "{spec}");
+            assert!(!routable(&spec, &g.view(), &over), "{spec}");
         }
     }
 
     #[test]
     fn empty_demands_trivially_routable() {
         let g = line();
-        assert!(RoutabilityMode::Exact.routable(&g.view(), &[]).unwrap());
+        assert!(routable(&OracleSpec::Exact, &g.view(), &[]));
     }
 
     #[test]
     fn auto_picks_backend_by_size() {
-        let auto = RoutabilityMode::Auto { threshold: 10 };
-        assert!(auto.uses_exact(5, 2));
-        assert!(!auto.uses_exact(11, 1));
-        assert!(RoutabilityMode::Exact.uses_exact(1_000_000, 100));
-        assert!(!RoutabilityMode::Approx { epsilon: 0.1 }.uses_exact(1, 1));
+        let g = line();
+        let fits = [Demand::new(g.node(0), g.node(2), 4.0)];
+        // |E| · |EH| = 2 · 1: a size at the threshold is exact, one
+        // above it approximate.
+        let small = OracleBuilder::new(OracleSpec::Auto { threshold: 2 })
+            .build()
+            .unwrap();
+        assert!(small.is_routable(&g.view(), &fits).unwrap());
+        assert_eq!((small.stats().lp_solves, small.stats().approx_runs), (1, 0));
+        let large = OracleBuilder::new(OracleSpec::Auto { threshold: 1 })
+            .build()
+            .unwrap();
+        assert!(large.is_routable(&g.view(), &fits).unwrap());
+        assert_eq!((large.stats().lp_solves, large.stats().approx_runs), (0, 1));
     }
 
     #[test]
@@ -129,11 +65,12 @@ mod tests {
         let mut g = Graph::with_nodes(3);
         g.add_edge(g.node(0), g.node(1), 5.0).unwrap();
         let demands = [Demand::new(g.node(0), g.node(2), 1.0)];
-        for mode in [
-            RoutabilityMode::Exact,
-            RoutabilityMode::Approx { epsilon: 0.05 },
+        for spec in [
+            OracleSpec::Exact,
+            OracleSpec::Approx { epsilon: 0.05 },
+            IspConfig::default().oracle,
         ] {
-            assert!(!mode.routable(&g.view(), &demands).unwrap());
+            assert!(!routable(&spec, &g.view(), &demands), "{spec}");
         }
     }
 }

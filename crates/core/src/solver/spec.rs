@@ -259,7 +259,7 @@ fn apply_option(spec: &mut SolverSpec, key: &str, value: &str) -> Result<(), Sol
             }
             "candidates" => config.split_candidates = parse_usize(key, value)?,
             "exact-split" => config.exact_split_lp = parse_bool(key, value)?,
-            "oracle" => config.oracle = Some(parse_oracle(key, value)?),
+            "oracle" => config.oracle = parse_oracle(key, value)?,
             _ => {
                 return Err(unknown_key(
                     name,
@@ -282,7 +282,7 @@ fn apply_option(spec: &mut SolverSpec, key: &str, value: &str) -> Result<(), Sol
         SolverSpec::GrdCom(config) | SolverSpec::GrdNc(config) => match key {
             "paths" => config.max_paths_per_pair = parse_usize(key, value)?,
             "hops" => config.max_hops = parse_usize(key, value)?,
-            "oracle" => config.oracle = Some(parse_oracle(key, value)?),
+            "oracle" => config.oracle = parse_oracle(key, value)?,
             _ => return Err(unknown_key(name, key, "paths, hops, oracle")),
         },
         SolverSpec::Mcb(config) | SolverSpec::Mcw(config) => match key {
@@ -322,8 +322,8 @@ impl fmt::Display for SolverSpec {
                 if config.exact_split_lp != defaults.exact_split_lp {
                     options.push(format!("exact-split={}", config.exact_split_lp));
                 }
-                if let Some(oracle) = &config.oracle {
-                    options.push(format!("oracle={oracle}"));
+                if config.oracle != defaults.oracle {
+                    options.push(format!("oracle={}", config.oracle));
                 }
             }
             SolverSpec::Opt(config) => {
@@ -346,8 +346,8 @@ impl fmt::Display for SolverSpec {
                 if config.max_hops != defaults.max_hops {
                     options.push(format!("hops={}", config.max_hops));
                 }
-                if let Some(oracle) = &config.oracle {
-                    options.push(format!("oracle={oracle}"));
+                if config.oracle != defaults.oracle {
+                    options.push(format!("oracle={}", config.oracle));
                 }
             }
             SolverSpec::Mcb(config) | SolverSpec::Mcw(config) => {
@@ -548,6 +548,8 @@ mod tests {
             "grd-nc:oracle=cached-exact",
             "mcb:eliminations=3",
             "mcw:oracle=exact",
+            "isp:oracle=auto:8000",
+            "grd-nc:oracle=auto:8000",
         ] {
             let spec = SolverSpec::parse(s).unwrap();
             let rendered = spec.to_string();
@@ -556,6 +558,16 @@ mod tests {
                 spec,
                 "{s} -> {rendered}"
             );
+        }
+        // Spelling out the default oracle yields the default spec, which
+        // renders as the bare name.
+        for (s, bare) in [
+            ("isp:oracle=auto:8000", "isp"),
+            ("grd-nc:oracle=auto:8000", "grd-nc"),
+        ] {
+            let spec = SolverSpec::parse(s).unwrap();
+            assert_eq!(spec, SolverSpec::parse(bare).unwrap(), "{s}");
+            assert_eq!(spec.to_string(), bare, "{s}");
         }
     }
 

@@ -109,52 +109,14 @@ fn sweep_artifact(problem: &RecoveryProblem, tag: &str) -> std::path::PathBuf {
     path
 }
 
-/// The deprecated `OracleSpec::build`/`build_with_engine` shims must
-/// stay answer-identical to the [`OracleBuilder`] front door for every
-/// spec variant, probed over every reachable repair state of both
-/// fixtures — migrating a caller to the builder can never flip an
-/// answer.
+/// A missing artifact file is a typed build error, never a silent
+/// fallback to a live backend.
 #[test]
-#[allow(deprecated)]
-fn deprecated_shims_agree_with_the_builder_front_door() {
-    for (fixture_name, problem) in [("two_lines", two_lines()), ("diamond", diamond())] {
-        let artifact = sweep_artifact(&problem, &format!("shim-{fixture_name}"));
-        let demands = problem.demands();
-        let specs = vec![
-            OracleSpec::Exact,
-            OracleSpec::Approx { epsilon: 0.05 },
-            OracleSpec::Auto { threshold: 8 },
-            OracleSpec::CachedExact,
-            OracleSpec::CachedApprox { epsilon: 0.05 },
-            OracleSpec::Incremental,
-            OracleSpec::Artifact {
-                path: artifact.to_string_lossy().into_owned(),
-            },
-        ];
-        for spec in specs {
-            let old = spec.build();
-            let new = OracleBuilder::new(spec.clone()).build().unwrap();
-            assert_eq!(old.name(), new.name(), "{fixture_name}: {spec:?}");
-            for (nm, em) in every_repair_state(&problem) {
-                let view = problem.full_view().with_node_mask(&nm).with_edge_mask(&em);
-                assert_eq!(
-                    old.is_routable(&view, &demands).unwrap(),
-                    new.is_routable(&view, &demands).unwrap(),
-                    "{fixture_name}: {spec:?} diverged between shim and builder"
-                );
-            }
-        }
-        // The one contract the shims cannot honor: a broken artifact
-        // file silently degrades to the plain incremental backend, while
-        // the builder reports the typed load error.
-        let missing = OracleSpec::Artifact {
-            path: "/nonexistent/conformance.nra".into(),
-        };
-        assert!(OracleBuilder::new(missing.clone()).build().is_err());
-        let degraded = missing.build();
-        assert!(degraded.is_routable(&problem.full_view(), &demands).is_ok());
-        let _ = std::fs::remove_file(&artifact);
-    }
+fn builder_rejects_a_missing_artifact_path() {
+    let missing = OracleSpec::Artifact {
+        path: "/nonexistent/conformance.nra".into(),
+    };
+    assert!(OracleBuilder::new(missing).build().is_err());
 }
 
 /// The exact-answer oracle family — exact, incremental, cached-exact,

@@ -51,6 +51,14 @@ use std::time::{Duration, Instant};
 /// dispatch (parse/version errors have no [`Op`]).
 const PROTOCOL_ERROR_OP: &str = "protocol_error";
 
+/// Latency classes of requests refused before execution, named after
+/// the error kind of their reply: shed by admission control, and
+/// refused because the write-ahead append failed. Recording them under
+/// the op they refused would mix replies that did no work into that
+/// op's served latencies.
+const SHED_OP: &str = "overloaded";
+const WAL_REFUSED_OP: &str = "io_error";
+
 /// Tuning knobs for the server's containment behavior.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -449,7 +457,9 @@ impl Latencies {
 /// Latency summary for one operation class.
 #[derive(Debug, Clone)]
 pub struct OpLatency {
-    /// Operation wire name (or `protocol_error`).
+    /// Operation wire name, or the class of a request answered without
+    /// executing it: `protocol_error`, `overloaded` (shed), `io_error`
+    /// (write-ahead append failed).
     pub op: String,
     /// Requests processed.
     pub count: usize,
@@ -817,13 +827,15 @@ impl Server {
 fn read_one_line(shared: &Arc<Shared>, conn: &Arc<ConnOut>, slot: u64, line: &str) -> bool {
     match Request::parse(line) {
         Ok(req) => {
+            // Replies answered here, on the read path, are timed from
+            // parse to delivery.
+            let started = Instant::now();
             // Health answers at read time: shed-exempt (it must work
             // *because* the daemon is overloaded), consumes no request
             // index (a polling supervisor must not shift the fault
             // schedule), and is never WAL-logged (probes are not
             // events).
             if matches!(req.op, Op::Health) {
-                let started = Instant::now();
                 let response = shared
                     .engine
                     .health_response(&req.id, Some(shared.sched.depth()));
@@ -832,7 +844,6 @@ fn read_one_line(shared: &Arc<Shared>, conn: &Arc<ConnOut>, slot: u64, line: &st
                 return false;
             }
             let is_shutdown = matches!(req.op, Op::Shutdown);
-            let op_name = req.op.name();
             let index = shared.request_counter.fetch_add(1, Ordering::SeqCst);
             // Bounded-log maintenance rides the read path: when enough
             // records have accumulated, quiesce, snapshot every
@@ -850,7 +861,7 @@ fn read_one_line(shared: &Arc<Shared>, conn: &Arc<ConnOut>, slot: u64, line: &st
                     "queue full; retry after the hinted backoff",
                     vec![("retry_after_ms", Json::Number(retry_after_ms as f64))],
                 );
-                shared.latencies.record(op_name, Duration::ZERO);
+                shared.latencies.record(SHED_OP, started.elapsed());
                 conn.deliver(slot, response.to_line());
                 return is_shutdown;
             }
@@ -881,7 +892,7 @@ fn read_one_line(shared: &Arc<Shared>, conn: &Arc<ConnOut>, slot: u64, line: &st
                             "io_error",
                             &format!("write-ahead append failed; event not accepted: {e}"),
                         );
-                        shared.latencies.record(op_name, Duration::ZERO);
+                        shared.latencies.record(WAL_REFUSED_OP, started.elapsed());
                         conn.deliver(slot, response.to_line());
                         return is_shutdown;
                     }
@@ -1191,7 +1202,7 @@ not json at all
             max_queue: 2,
             ..ServerConfig::default()
         };
-        let (out, _) = run_stream_with(faulty_engine("latency@0:300"), 1, stream, config);
+        let (out, report) = run_stream_with(faulty_engine("latency@0:300"), 1, stream, config);
         let replies: Vec<Response> = out.lines().map(|l| Response::parse(l).unwrap()).collect();
         assert_eq!(replies.len(), 5, "shed requests still get replies in order");
         assert!(replies[0].is_ok());
@@ -1211,6 +1222,21 @@ not json at all
         }
         let z = replies.last().unwrap();
         assert!(z.is_ok(), "shutdown bypasses the bound: {}", z.to_line());
+        // Shed replies count in their own latency class, so the op's
+        // line holds only the requests it served.
+        let count = |op: &str| {
+            report
+                .per_op
+                .iter()
+                .find(|l| l.op == op)
+                .map_or(0, |l| l.count)
+        };
+        let served = replies
+            .iter()
+            .filter(|r| r.is_ok() && r.id() != Some("z"))
+            .count();
+        assert_eq!(count("query_routability"), served, "{report:?}");
+        assert_eq!(count("overloaded"), shed.len(), "{report:?}");
     }
 
     #[test]

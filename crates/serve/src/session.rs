@@ -2,13 +2,14 @@
 //!
 //! Every session owns a private [`RecoveryProblem`] overlay — cloned
 //! once from the shared immutable base topology when the session is
-//! created — plus a persistent [`IncrementalOracle`] whose witnesses
-//! and warm LP bases survive across requests. That persistence is the
-//! daemon's whole value proposition: the first routability query after
-//! a disruption pays a solve, subsequent queries on nearby states are
-//! answered from monotone witnesses or a dual-simplex re-solve of the
-//! same warm system, orders of magnitude cheaper than booting a
-//! process and solving cold (`BENCH_serve.json` pins the ratio).
+//! created — plus a persistent incremental oracle, built by
+//! [`OracleBuilder`], whose witnesses and warm LP bases survive across
+//! requests. That persistence is the daemon's whole value proposition:
+//! the first routability query after a disruption pays a solve,
+//! subsequent queries on nearby states are answered from monotone
+//! witnesses or a dual-simplex re-solve of the same warm system, orders
+//! of magnitude cheaper than booting a process and solving cold
+//! (`BENCH_serve.json` pins the ratio).
 //!
 //! `query_plan` deliberately does **not** reuse warm solver state: each
 //! plan request builds a fresh solver from its [`SolverSpec`] and a
@@ -19,11 +20,12 @@
 //! history.
 
 use netrec_core::oracle::{
-    ConcurrentFlowApprox, EvalOracle, IncrementalOracle, OracleStats, RoutabilityOracle,
+    ConcurrentFlowApprox, EvalOracle, IncSnapshot, OracleStats, RoutabilityOracle,
 };
 use netrec_core::solver::{SolveContext, SolverSpec};
 use netrec_core::{
-    AnswerSource, RecoveryError, RecoveryPlan, RecoveryProblem, RoutabilityArtifact, StatePatch,
+    AnswerSource, OracleBuilder, OracleSpec, RecoveryError, RecoveryPlan, RecoveryProblem,
+    RoutabilityArtifact, StatePatch,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,16 +50,13 @@ pub struct StalePlan {
 pub struct Session {
     base: Arc<RecoveryProblem>,
     problem: RecoveryProblem,
-    oracle: IncrementalOracle,
+    /// The warm exact oracle: incremental, fronted by the artifact when
+    /// one is attached (see [`session_oracle`]).
+    oracle: Box<dyn EvalOracle>,
     /// Optional precomputed routability artifact, shared read-only
     /// across every session of the daemon (`netrec-serve --artifact`).
-    /// Probed before the warm oracle on exact routability queries: a
-    /// hit is an O(1)–O(|E|) lookup that touches no live solver state.
+    /// Kept so forks front their own oracle with it.
     artifact: Option<Arc<RoutabilityArtifact>>,
-    /// Artifact probe outcomes for this session (the warm oracle's own
-    /// counters cannot see queries the artifact absorbed).
-    artifact_hits: std::cell::Cell<usize>,
-    artifact_misses: std::cell::Cell<usize>,
     /// Protocol events successfully applied since creation (forks
     /// inherit the parent's count — it measures state lineage depth,
     /// not per-session traffic).
@@ -90,11 +89,9 @@ impl Session {
     pub fn new(base: Arc<RecoveryProblem>) -> Self {
         Session {
             problem: (*base).clone(),
-            oracle: IncrementalOracle::new(),
+            oracle: session_oracle(None, None),
             base,
             artifact: None,
-            artifact_hits: std::cell::Cell::new(0),
-            artifact_misses: std::cell::Cell::new(0),
             events_applied: 0,
             routability_cache: std::cell::Cell::new(None),
             fingerprint_cache: std::cell::Cell::new(None),
@@ -102,12 +99,14 @@ impl Session {
         }
     }
 
-    /// Attaches (or detaches) the shared precomputed artifact. Exact
-    /// routability queries probe it before the warm oracle; answers
-    /// stay exact either way (the artifact stores proven verdicts
-    /// only), so attaching one changes costs and provenance, never
-    /// verdicts.
+    /// Attaches (or detaches) the shared precomputed artifact. The
+    /// oracle is rebuilt around it, keeping its warm witnesses (its
+    /// counters restart). Exact routability queries probe the artifact
+    /// before the warm oracle; answers stay exact either way (the
+    /// artifact stores proven verdicts only), so attaching one changes
+    /// costs and provenance, never verdicts.
     pub fn set_artifact(&mut self, artifact: Option<Arc<RoutabilityArtifact>>) {
+        self.oracle = session_oracle(artifact.as_ref(), self.oracle.warm_state().as_ref());
         self.artifact = artifact;
     }
 
@@ -166,17 +165,13 @@ impl Session {
     /// witnesses) is carried over, so the fork answers its first
     /// queries warm instead of cold.
     pub fn fork(&self) -> Session {
-        let oracle = IncrementalOracle::new();
-        oracle.restore_state(&self.oracle.snapshot_state());
         Session {
             base: Arc::clone(&self.base),
             problem: self.problem.clone(),
-            oracle,
-            // The artifact is shared; probe counters are per-session
-            // traffic and start fresh (like the oracle's own counters).
+            // The artifact is shared; counters are per-session traffic
+            // and start fresh.
+            oracle: session_oracle(self.artifact.as_ref(), self.oracle.warm_state().as_ref()),
             artifact: self.artifact.clone(),
-            artifact_hits: std::cell::Cell::new(0),
-            artifact_misses: std::cell::Cell::new(0),
             events_applied: self.events_applied,
             // The fork shares the parent's state, so its verdict too.
             routability_cache: self.routability_cache.clone(),
@@ -291,29 +286,9 @@ impl Session {
             .with_node_mask(&nm)
             .with_edge_mask(&em);
         let demands = self.problem.demands();
-        if let Some(artifact) = &self.artifact {
-            if let Some(verdict) = artifact.lookup(&view, &demands) {
-                self.artifact_hits.set(self.artifact_hits.get() + 1);
-                self.routability_cache.set(Some((
-                    self.events_applied,
-                    verdict,
-                    AnswerSource::Artifact,
-                )));
-                let cost = OracleStats {
-                    routability_queries: 1,
-                    artifact_hits: 1,
-                    ..OracleStats::default()
-                };
-                return Ok((verdict, cost, AnswerSource::Artifact));
-            }
-            self.artifact_misses.set(self.artifact_misses.get() + 1);
-        }
         let baseline = self.oracle.stats();
         let routable = self.oracle.is_routable(&view, &demands)?;
-        let mut cost = self.oracle.stats().delta_since(&baseline);
-        if self.artifact.is_some() {
-            cost.artifact_misses = 1;
-        }
+        let cost = self.oracle.stats().delta_since(&baseline);
         let source = AnswerSource::classify(&cost);
         self.routability_cache
             .set(Some((self.events_applied, routable, source)));
@@ -412,17 +387,33 @@ impl Session {
     /// routability queries here — the counters describe questions asked
     /// of the session, not of any one backend.
     pub fn oracle_stats(&self) -> OracleStats {
-        let mut stats = self.oracle.stats();
-        stats.routability_queries += self.artifact_hits.get();
-        stats.artifact_hits += self.artifact_hits.get();
-        stats.artifact_misses += self.artifact_misses.get();
-        stats
+        self.oracle.stats()
     }
 
     /// Witness count of the warm oracle state (diagnostics).
     pub fn warm_witnesses(&self) -> usize {
-        self.oracle.snapshot_state().witness_count()
+        self.oracle
+            .warm_state()
+            .map_or(0, |snapshot| snapshot.witness_count())
     }
+}
+
+/// A session's oracle: incremental, fronted by `artifact` when one is
+/// attached, and seeded with `warm` state when forking.
+fn session_oracle(
+    artifact: Option<&Arc<RoutabilityArtifact>>,
+    warm: Option<&IncSnapshot>,
+) -> Box<dyn EvalOracle> {
+    let mut builder = OracleBuilder::new(OracleSpec::Incremental);
+    if let Some(artifact) = artifact {
+        builder = builder.artifact(Arc::clone(artifact));
+    }
+    if let Some(snapshot) = warm {
+        builder = builder.warm_state(snapshot);
+    }
+    builder
+        .build()
+        .expect("an incremental oracle over a loaded artifact builds infallibly")
 }
 
 /// FNV-1a, 64-bit. Tiny, dependency-free, stable across platforms —
@@ -643,6 +634,18 @@ mod tests {
         assert!(!routable, "edges 1 and 3 down severs 0→3");
         assert_ne!(source, netrec_core::AnswerSource::Artifact);
         assert_eq!(cost.artifact_misses, 1, "{cost:?}");
+        // A fork of this warmed session keeps both builder concerns:
+        // the parent's witnesses and the artifact front.
+        let mut g = s.fork();
+        assert!(g.warm_witnesses() > 0, "fork starts warm");
+        g.apply_stream(&[StatePatch::RepairEdge {
+            edge: EdgeId::new(1),
+        }])
+        .unwrap();
+        let (routable, cost, source) = g.query_routability().unwrap();
+        assert!(routable, "only edge 3 down: a swept state");
+        assert_eq!(source, netrec_core::AnswerSource::Artifact);
+        assert_eq!(cost.artifact_hits, 1, "{cost:?}");
     }
 
     #[test]
