@@ -3,9 +3,12 @@
 //!
 //! Writes `BENCH_lp.json` with three pairings:
 //!
-//! * `isp_dense` / `isp_revised` — the full ISP solve on the Bell-Canada
-//!   full-destruction instance (the `isp_exact` workload of
-//!   `BENCH_routability.json`), engine pinned through [`SolveContext`];
+//! * `routability_bell_dense` / `routability_bell_revised` — one
+//!   routability LP (system (2)) on the Bell-Canada instance's full view
+//!   and demands. The dense side selects the reference engine
+//!   explicitly; the revised side calls the production entry point
+//!   [`mcf::routability`], so a runtime path that fell back to the dense
+//!   tableau would collapse the ratio;
 //! * `routability_fig7_dense` / `routability_fig7_revised` — one
 //!   routability LP on the fig7-style n = 60 Erdős–Rényi topology;
 //! * `schedule_patches_cold` / `schedule_patches_warm` — the scheduler
@@ -20,9 +23,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netrec_bench::{bell_instance, problem_for};
-use netrec_core::isp::solve_isp_in;
-use netrec_core::solver::SolveContext;
-use netrec_core::{IspConfig, OracleSpec};
 use netrec_disrupt::DisruptionModel;
 use netrec_lp::mcf::{self, WarmRoutability};
 use netrec_lp::LpEngine;
@@ -31,6 +31,8 @@ use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let bell = bell_instance(4, 10.0);
+    let bell_view = bell.full_view();
+    let demands = bell.demands();
     let fig7 = problem_for(
         &netrec_topology::random::erdos_renyi(60, 0.5, 1000.0, 0xF167),
         &DemandSpec::new(5, 1.0),
@@ -42,21 +44,12 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("lp");
     g.sample_size(10);
 
-    for (id, engine) in [
-        ("isp_dense", LpEngine::Dense),
-        ("isp_revised", LpEngine::Revised),
-    ] {
-        g.bench_function(id, |b| {
-            let config = IspConfig {
-                oracle: OracleSpec::Exact,
-                ..Default::default()
-            };
-            b.iter(|| {
-                let mut ctx = SolveContext::new().with_lp_engine(engine);
-                solve_isp_in(black_box(&bell), &config, &mut ctx).unwrap()
-            })
-        });
-    }
+    g.bench_function("routability_bell_dense", |b| {
+        b.iter(|| mcf::routability_with(black_box(&bell_view), &demands, LpEngine::Dense).unwrap())
+    });
+    g.bench_function("routability_bell_revised", |b| {
+        b.iter(|| mcf::routability(black_box(&bell_view), &demands).unwrap())
+    });
 
     for (id, engine) in [
         ("routability_fig7_dense", LpEngine::Dense),
@@ -81,7 +74,6 @@ fn bench(c: &mut Criterion) {
     // (a mix of feasible and infeasible answers), differing from its
     // predecessor in a single capacity row.
     let graph = bell.graph();
-    let demands = bell.demands();
     let base_caps = graph.capacities();
     let mut states: Vec<Vec<f64>> = Vec::new();
     for e in 0..graph.edge_count() {

@@ -34,7 +34,7 @@ use netrec_core::oracle::Patch;
 use netrec_core::solver::SolveContext;
 use netrec_core::IspConfig;
 use netrec_disrupt::DisruptionModel;
-use netrec_lp::{revised, LpEngine};
+use netrec_lp::revised;
 use netrec_topology::demand::DemandSpec;
 use netrec_topology::random::barabasi_albert;
 use std::hint::black_box;
@@ -149,7 +149,7 @@ fn bench(c: &mut Criterion) {
         g.bench_function(BenchmarkId::new("isp", n), |b| {
             let config = IspConfig::default();
             b.iter(|| {
-                let mut ctx = SolveContext::new().with_lp_engine(LpEngine::Revised);
+                let mut ctx = SolveContext::new();
                 solve_isp_in(black_box(&problem), &config, &mut ctx).unwrap()
             })
         });
@@ -178,8 +178,7 @@ fn bench(c: &mut Criterion) {
 
         if LP_NS.contains(&n) {
             // Pricing A/B: identical instance, only the entering-column
-            // rule differs. `revised::solve_with` is the same per-call
-            // override `NETREC_LP_PRICING` maps to.
+            // rule differs, selected per call by `revised::solve_with`.
             let lp = pricing_lp(n);
             for (id, pricing) in [
                 ("lp_devex", revised::Pricing::Devex),

@@ -5,8 +5,10 @@
 //! *ratios* that the committed baseline claims, at half strength (a 2×
 //! tolerance). Ratios between benchmarks of the same run are
 //! machine-speed-independent, so the gate catches gross regressions —
-//! an accidental dense fallback, a warm-start path that stopped warm
-//! starting — without flaking on slow or noisy runners.
+//! a runtime path falling back to the dense tableau (the Bell pair's
+//! fast side is the production `mcf::routability`), a warm-start path
+//! that stopped warm starting — without flaking on slow or noisy
+//! runners.
 //!
 //! Without `NETREC_PERF_GATE_DIR` set (plain `cargo test`) the gates
 //! are skipped: measuring inside a debug test run would be meaningless.
@@ -72,8 +74,9 @@ fn series_by_workload(medians: &HashMap<String, f64>) -> HashMap<String, Vec<(us
 /// Committed claims (see `BENCH_lp.json`) at 2× tolerance: the measured
 /// ratio must stay above half the claimed one.
 const GATES: &[(&str, &str, f64)] = &[
-    // Revised-engine ISP ≥ 3× faster than dense ⇒ gate at 1.5×.
-    ("isp_dense", "isp_revised", 1.5),
+    // The Bell routability LP through the production entry point is
+    // ≥ 3× faster than the dense reference ⇒ gate at 1.5×.
+    ("routability_bell_dense", "routability_bell_revised", 1.5),
     // Warm capacity-patch re-solves ≥ 5× faster than cold ⇒ gate at 2.5×.
     ("schedule_patches_cold", "schedule_patches_warm", 2.5),
     // The fig7 routability LP is ~90× faster revised; even half of a

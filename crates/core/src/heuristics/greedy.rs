@@ -297,9 +297,7 @@ pub fn solve_grd_nc_in(
 
     // One oracle instance serves the whole run's termination tests.
     let spec = ctx.oracle_spec(config.oracle.clone());
-    let oracle = crate::OracleBuilder::new(spec)
-        .engine(ctx.lp_engine())
-        .build()?;
+    let oracle = crate::OracleBuilder::new(spec).build()?;
     // Snapshots report deltas against the solve-start baseline (see the
     // matching comment in `isp.rs`): per-solve counters stay correct
     // even for an oracle instance that outlives this run.

@@ -46,7 +46,7 @@ pub struct McfRelaxConfig {
     /// loop: before re-solving LP (8) with a broken edge zeroed out, the
     /// oracle checks whether the demands remain routable at all on the
     /// reduced graph. A (possibly conservative) "no" marks the edge
-    /// essential without the dense re-solve; a wrong "no" only leaves MCB
+    /// essential without the LP re-solve; a wrong "no" only leaves MCB
     /// with a few more repairs, never an invalid plan. `None` keeps the
     /// original always-re-solve behavior.
     pub oracle: Option<OracleSpec>,
@@ -117,30 +117,24 @@ pub fn solve_mcf_relax_in(
         .collect();
 
     // Step 1: optimal flow cost z*.
-    let engine = ctx.lp_engine();
-    let Some((z_star, base_flows)) =
-        mcf::min_broken_flow_with(&view, &demands, &broken_cost, engine)?
-    else {
+    let Some((z_star, base_flows)) = mcf::min_broken_flow(&view, &demands, &broken_cost)? else {
         return Err(RecoveryError::InfeasibleEvenIfAllRepaired);
     };
     let cap = z_star + config.cost_tolerance;
 
     // Step 2: push to the requested extreme at fixed cost.
     let flows = match extreme {
-        McfExtreme::Worst => {
-            mcf::broken_flow_extreme_with(&view, &demands, &broken_cost, cap, true, engine)?
-                .unwrap_or(base_flows)
-        }
+        McfExtreme::Worst => mcf::broken_flow_extreme(&view, &demands, &broken_cost, cap, true)?
+            .unwrap_or(base_flows),
         McfExtreme::Best => {
-            let mut flows =
-                mcf::broken_flow_extreme_with(&view, &demands, &broken_cost, cap, false, engine)?
-                    .unwrap_or(base_flows);
+            let mut flows = mcf::broken_flow_extreme(&view, &demands, &broken_cost, cap, false)?
+                .unwrap_or(base_flows);
             // Greedy elimination: zero out used broken edges one at a time
             // by capacity override, keeping the cost cap feasible.
             let oracle = ctx
                 .oracle_override()
                 .or_else(|| config.oracle.clone())
-                .map(|spec| crate::OracleBuilder::new(spec).engine(engine).build())
+                .map(|spec| crate::OracleBuilder::new(spec).build())
                 .transpose()?;
             let mut capacities = problem.graph().capacities();
             let mut eliminations = 0;
@@ -170,21 +164,14 @@ pub fn solve_mcf_relax_in(
                 let masked = problem.full_view().with_capacities(&capacities);
                 // Oracle pre-screen: a "no" (possibly conservative for
                 // approximate backends) marks the edge essential without
-                // the dense LP re-solve below.
+                // the LP re-solve below.
                 if let Some(oracle) = &oracle {
                     if !oracle.is_routable(&masked, &demands)? {
                         capacities[e.index()] = saved;
                         break;
                     }
                 }
-                match mcf::broken_flow_extreme_with(
-                    &masked,
-                    &demands,
-                    &broken_cost,
-                    cap,
-                    false,
-                    engine,
-                )? {
+                match mcf::broken_flow_extreme(&masked, &demands, &broken_cost, cap, false)? {
                     Some(better) => {
                         flows = better;
                         eliminations += 1;

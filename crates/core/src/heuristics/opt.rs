@@ -48,7 +48,7 @@ impl Default for OptConfig {
 
 /// The cheaper of ISP's plan and the MCB extraction (both guaranteed
 /// feasible): OPT's warm start. The MCB LP runs on the full graph, so
-/// it is only attempted on instances the dense simplex handles quickly;
+/// it is only attempted on instances the simplex handles quickly;
 /// a deadline/cancellation error swallowed by its `.ok()` is re-raised
 /// by the caller's next checkpoint (the condition persists).
 fn warm_start_plan(
@@ -128,7 +128,7 @@ pub fn solve_opt_in(
 
     // Warm start: the cheaper of ISP's plan and the MCB extraction (both
     // guaranteed feasible) bounds the optimum from above. The MCB LP runs
-    // on the full graph, so it is only worthwhile on instances the dense
+    // on the full graph, so it is only worthwhile on instances the
     // simplex handles quickly.
     let warm = if config.warm_start {
         ctx.emit(ProgressEvent::Stage {
@@ -277,7 +277,6 @@ pub fn solve_opt_in(
     let bb = BranchBoundConfig {
         node_budget: config.node_budget,
         cutoff,
-        engine: Some(ctx.lp_engine()),
         ..Default::default()
     };
     let result = milp::solve(&lp, &bb);

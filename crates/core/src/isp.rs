@@ -169,10 +169,7 @@ pub fn solve_isp_in(
     // One oracle instance serves every routability question of this run,
     // so cached backends accumulate reuse across iterations.
     let spec = ctx.oracle_spec(config.oracle.clone());
-    let engine = ctx.lp_engine();
-    let oracle = crate::OracleBuilder::new(spec.clone())
-        .engine(engine)
-        .build()?;
+    let oracle = crate::OracleBuilder::new(spec.clone()).build()?;
     // Oracle counters are cumulative for the backend's whole lifetime;
     // snapshots report the *delta* against this solve-start baseline
     // (captured before the precheck issues the first query), so they
@@ -192,10 +189,10 @@ pub fn solve_isp_in(
         // An exact backend already solved the LP — its "no" is final.
         // An approximate backend may be over-conservative in the ε band,
         // so re-check exactly before reporting infeasibility: a wrong
-        // error here is worse than one dense solve on this rare path.
+        // error here is worse than one exact solve on this rare path.
         let answered_exactly =
             spec.uses_exact_split(full.enabled_edges().count(), initial_demands.len());
-        if answered_exactly || mcf::routability_with(&full, &initial_demands, engine)?.is_none() {
+        if answered_exactly || mcf::routability(&full, &initial_demands)?.is_none() {
             return Err(RecoveryError::InfeasibleEvenIfAllRepaired);
         }
     }
@@ -244,7 +241,7 @@ pub fn solve_isp_in(
         if state.repair_direct_edges() {
             continue;
         }
-        if !split_step(&mut state, config, &spec, oracle.as_ref(), engine)? {
+        if !split_step(&mut state, config, &spec, oracle.as_ref())? {
             // No productive split: force progress by repairing the most
             // central still-broken element, or give up conservatively.
             if !force_repair(&mut state, config) {
@@ -281,7 +278,6 @@ fn split_step(
     config: &IspConfig,
     spec: &OracleSpec,
     oracle: &dyn EvalOracle,
-    engine: netrec_lp::LpEngine,
 ) -> Result<bool, RecoveryError> {
     // Centrality on the full graph with residual capacities.
     let node_cost: Vec<f64> = (0..state.problem.graph().node_count())
@@ -344,7 +340,7 @@ fn split_step(
         let upper = state.demands[h]
             .amount
             .min(centrality.capacity_through(h, vbc, &full));
-        let dx = decide_split_amount(state, config, spec, oracle, engine, h, vbc, upper)?;
+        let dx = decide_split_amount(state, config, spec, oracle, h, vbc, upper)?;
         if dx > EPS {
             state.repair_node(vbc);
             state.split(h, vbc, dx);
@@ -357,13 +353,11 @@ fn split_step(
 /// Decision 2: exact answer when configured and small enough (a routing
 /// certificate at `upper`, else the split LP), halving search against the
 /// routability oracle otherwise.
-#[allow(clippy::too_many_arguments)]
 fn decide_split_amount(
     state: &IspState<'_>,
     config: &IspConfig,
     spec: &OracleSpec,
     oracle: &dyn EvalOracle,
-    engine: netrec_lp::LpEngine,
     h: usize,
     vbc: netrec_graph::NodeId,
     upper: f64,
@@ -373,7 +367,7 @@ fn decide_split_amount(
     let use_lp =
         config.exact_split_lp && spec.uses_exact_split(enabled_edges, state.demands.len() + 2);
     if use_lp {
-        let dx = mcf::max_shared_split_with(&full, &state.demands, h, vbc, upper, engine)?;
+        let dx = mcf::max_shared_split(&full, &state.demands, h, vbc, upper)?;
         return Ok(dx.unwrap_or(0.0));
     }
     // Halving search with the (conservative) routability oracle.

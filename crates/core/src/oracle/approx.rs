@@ -53,7 +53,7 @@ impl Default for ConcurrentFlowApprox {
 impl ConcurrentFlowApprox {
     /// Default exact-LP fast-path limit: aligned with the
     /// [`OracleSpec::Auto`](super::OracleSpec::Auto) default threshold —
-    /// the measured size below which the dense LP beats Garg–Könemann.
+    /// the measured size below which the exact LP beats Garg–Könemann.
     pub const DEFAULT_FALLBACK_LIMIT: usize = super::DEFAULT_SIZE_THRESHOLD;
 
     /// Per-demand Dinic precheck budget on `|E| · |EH|`. Below it every
@@ -85,12 +85,6 @@ impl ConcurrentFlowApprox {
     /// everywhere).
     pub fn with_fallback_limit(mut self, limit: usize) -> Self {
         self.fallback_limit = limit;
-        self
-    }
-
-    /// Pins the exact-LP fast path to an explicit LP engine.
-    pub fn with_engine(mut self, engine: netrec_lp::LpEngine) -> Self {
-        self.fallback = ExactLp::with_engine(engine);
         self
     }
 

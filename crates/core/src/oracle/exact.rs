@@ -4,7 +4,6 @@ use super::{Counter, EvalOracle, OracleStats, RoutabilityOracle, SatisfactionOra
 use crate::RecoveryError;
 use netrec_graph::{maxflow, View};
 use netrec_lp::mcf::{self, Demand, WarmRoutability};
-use netrec_lp::LpEngine;
 use std::sync::Mutex;
 
 /// Exact backend: system (2) for routability, the maximum-satisfied-demand
@@ -14,8 +13,7 @@ use std::sync::Mutex;
 /// per-demand single-commodity max flow), so an LP is only solved when
 /// the instance has a chance of being routable.
 ///
-/// Under the revised engine (the default) the backend keeps a
-/// **per-generation [`WarmRoutability`] system**: consecutive routability
+/// The backend keeps a **per-generation [`WarmRoutability`] system**: consecutive routability
 /// queries against the same `(graph, demands)` instance are pure
 /// capacity patches of one fixed-structure LP, re-solved warm from the
 /// previous optimal basis. Routability answers are a property of the
@@ -25,7 +23,6 @@ use std::sync::Mutex;
 /// configured backends disagree).
 #[derive(Debug)]
 pub struct ExactLp {
-    engine: LpEngine,
     routability_queries: Counter,
     satisfaction_queries: Counter,
     lp_solves: Counter,
@@ -46,27 +43,15 @@ impl Default for ExactLp {
 }
 
 impl ExactLp {
-    /// A fresh backend with zeroed counters, on the process default
-    /// engine.
+    /// A fresh backend with zeroed counters.
     pub fn new() -> Self {
-        ExactLp::with_engine(netrec_lp::global_engine())
-    }
-
-    /// A fresh backend pinned to an explicit LP engine.
-    pub fn with_engine(engine: LpEngine) -> Self {
         ExactLp {
-            engine,
             routability_queries: Counter::default(),
             satisfaction_queries: Counter::default(),
             lp_solves: Counter::default(),
             warm_start_hits: Counter::default(),
             warm: Mutex::new(None),
         }
-    }
-
-    /// The engine this backend solves with.
-    pub fn engine(&self) -> LpEngine {
-        self.engine
     }
 }
 
@@ -90,28 +75,23 @@ impl RoutabilityOracle for ExactLp {
             }
         }
         self.lp_solves.bump();
-        match self.engine {
-            LpEngine::Dense => Ok(mcf::routability_with(view, &active, LpEngine::Dense)?.is_some()),
-            LpEngine::Revised => {
-                let generation = super::generation_key_of(view.graph(), &active);
-                let mut guard = self.warm.lock().expect("exact warm state poisoned");
-                let state = match guard.as_mut() {
-                    Some(s) if s.generation == generation => s,
-                    _ => {
-                        *guard = Some(WarmState {
-                            generation,
-                            system: WarmRoutability::build(view.graph(), &active),
-                        });
-                        guard.as_mut().expect("just installed")
-                    }
-                };
-                if state.system.has_basis() {
-                    self.warm_start_hits.bump();
-                }
-                let caps = super::effective_capacities(view);
-                Ok(state.system.solve(&caps)?)
+        let generation = super::generation_key_of(view.graph(), &active);
+        let mut guard = self.warm.lock().expect("exact warm state poisoned");
+        let state = match guard.as_mut() {
+            Some(s) if s.generation == generation => s,
+            _ => {
+                *guard = Some(WarmState {
+                    generation,
+                    system: WarmRoutability::build(view.graph(), &active),
+                });
+                guard.as_mut().expect("just installed")
             }
+        };
+        if state.system.has_basis() {
+            self.warm_start_hits.bump();
         }
+        let caps = super::effective_capacities(view);
+        Ok(state.system.solve(&caps)?)
     }
 }
 
@@ -124,8 +104,7 @@ impl SatisfactionOracle for ExactLp {
         {
             self.lp_solves.bump();
         }
-        let weights = vec![1.0; demands.len()];
-        let (sat, _) = mcf::max_weighted_satisfied_with(view, demands, &weights, self.engine)?;
+        let (sat, _) = mcf::max_satisfied(view, demands)?;
         Ok(sat)
     }
 }
@@ -167,16 +146,14 @@ mod tests {
 
     #[test]
     fn matches_the_lp_on_both_sides_of_capacity() {
-        for engine in [LpEngine::Dense, LpEngine::Revised] {
-            let g = line();
-            let oracle = ExactLp::with_engine(engine);
-            assert!(oracle
-                .is_routable(&g.view(), &[Demand::new(g.node(0), g.node(2), 4.0)])
-                .unwrap());
-            assert!(!oracle
-                .is_routable(&g.view(), &[Demand::new(g.node(0), g.node(2), 6.0)])
-                .unwrap());
-        }
+        let g = line();
+        let oracle = ExactLp::new();
+        assert!(oracle
+            .is_routable(&g.view(), &[Demand::new(g.node(0), g.node(2), 4.0)])
+            .unwrap());
+        assert!(!oracle
+            .is_routable(&g.view(), &[Demand::new(g.node(0), g.node(2), 6.0)])
+            .unwrap());
     }
 
     #[test]
@@ -209,7 +186,7 @@ mod tests {
     #[test]
     fn repeated_capacity_patched_queries_warm_start() {
         let g = line();
-        let oracle = ExactLp::with_engine(LpEngine::Revised);
+        let oracle = ExactLp::new();
         // Two demands sharing edge 0: every query below survives the
         // single-commodity prechecks, so each one reaches the LP.
         let demands = [
@@ -240,7 +217,7 @@ mod tests {
     #[test]
     fn generation_change_rebuilds_the_warm_system() {
         let g = line();
-        let oracle = ExactLp::with_engine(LpEngine::Revised);
+        let oracle = ExactLp::new();
         let d4 = [Demand::new(g.node(0), g.node(2), 4.0)];
         let d5 = [Demand::new(g.node(0), g.node(2), 5.0)];
         assert!(oracle.is_routable(&g.view(), &d4).unwrap());

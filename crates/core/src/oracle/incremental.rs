@@ -7,7 +7,7 @@
 //! collapses exact repeats. `IncrementalOracle` instead keeps a
 //! **persistent warm-start state** between queries and answers most
 //! probes without any solve. Its answer contract relative to
-//! [`ExactLp`]: routability verdicts and **optimal satisfied totals**
+//! [`ExactLp`](super::ExactLp): routability verdicts and **optimal satisfied totals**
 //! are identical (both are unique properties of the instance);
 //! *per-demand* satisfaction splits may differ — the maximum-satisfied
 //! LP has degenerate optima, and this backend's warm re-solves pick the
@@ -39,13 +39,10 @@
 //!   answer vector is exactly the demand amounts. All three are exact
 //!   implications, never approximations.
 //!
-//! Under the revised engine (the default), full solves go through
-//! per-generation fixed-structure warm systems
+//! Full solves go through per-generation fixed-structure warm systems
 //! ([`WarmRoutability`]/[`WarmMaxSatisfied`], DESIGN.md §11): every
 //! capacity state of the generation is an RHS patch of one LP, re-solved
-//! from the previous basis by the dual simplex. Under the dense escape
-//! hatch they run cold on the canonical subgraph (dead regions masked
-//! out) exactly as before.
+//! from the previous basis by the dual simplex.
 //!
 //! [`EvalOracle::evaluate_batch`] is overridden to score a whole repair
 //! frontier against one shared base state: per candidate it computes just
@@ -53,13 +50,10 @@
 //! query from scratch.
 
 use super::canon::{canonicalize, extends, insert_maximal, insert_minimal, EffState, RawState};
-use super::{
-    Counter, EvalOracle, ExactLp, OracleStats, Patch, RoutabilityOracle, SatisfactionOracle,
-};
+use super::{Counter, EvalOracle, OracleStats, Patch, RoutabilityOracle, SatisfactionOracle};
 use crate::RecoveryError;
 use netrec_graph::{Graph, View};
 use netrec_lp::mcf::{self, Demand, WarmMaxSatisfied, WarmRoutability};
-use netrec_lp::LpEngine;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -72,23 +66,20 @@ const MAX_MEMO_ENTRIES: usize = 65_536;
 /// The exact backend with persistent warm-start state (see module docs).
 ///
 /// Routability verdicts and satisfied totals are identical to
-/// [`ExactLp`]; per-demand splits of degenerate satisfaction optima may
-/// differ (see the module docs) — only the cost differs for every
-/// quantity the stack consumes. Selected
+/// [`ExactLp`](super::ExactLp); per-demand splits of degenerate
+/// satisfaction optima may differ (see the module docs) — only the cost
+/// differs for every quantity the stack consumes. Selected
 /// via [`OracleSpec::Incremental`](super::OracleSpec::Incremental)
 /// (`--oracle incremental` on the CLI).
 #[derive(Debug)]
 pub struct IncrementalOracle {
-    engine: LpEngine,
-    inner: ExactLp,
     state: Mutex<IncState>,
     routability_queries: Counter,
     satisfaction_queries: Counter,
     memo_hits: Counter,
     warm_start_hits: Counter,
     full_solves: Counter,
-    /// Warm-system LP solves (revised engine only; the dense path solves
-    /// through `inner` and is counted there).
+    /// Warm-system LP solves.
     warm_lp_solves: Counter,
     generation_resets: Counter,
 }
@@ -139,7 +130,7 @@ struct IncState {
     memo_routable: HashMap<Vec<u64>, bool>,
     memo_satisfied: HashMap<Vec<u64>, Vec<f64>>,
     /// Fixed-structure routability system re-solved warm per capacity
-    /// state (revised engine only; built lazily per generation).
+    /// state (built lazily per generation).
     warm_rout: Option<WarmRoutability>,
     /// Satisfaction counterpart of `warm_rout`.
     warm_sat: Option<WarmMaxSatisfied>,
@@ -155,17 +146,9 @@ fn memo_insert<V>(map: &mut HashMap<Vec<u64>, V>, key: Vec<u64>, value: V) {
 }
 
 impl IncrementalOracle {
-    /// A fresh backend with empty warm-start state, on the process
-    /// default engine.
+    /// A fresh backend with empty warm-start state.
     pub fn new() -> Self {
-        IncrementalOracle::with_engine(netrec_lp::global_engine())
-    }
-
-    /// A fresh backend pinned to an explicit LP engine.
-    pub fn with_engine(engine: LpEngine) -> Self {
         IncrementalOracle {
-            engine,
-            inner: ExactLp::with_engine(engine),
             state: Mutex::new(IncState::default()),
             routability_queries: Counter::default(),
             satisfaction_queries: Counter::default(),
@@ -235,8 +218,8 @@ impl IncrementalOracle {
     }
 
     /// The satisfied vector for canonical state `q`, trying memo →
-    /// witness → full solve on the canonical subgraph; maintains memos
-    /// and witnesses.
+    /// witness → warm re-solve of the generation's system; maintains
+    /// memos and witnesses.
     fn satisfied_for(
         &self,
         st: &mut IncState,
@@ -256,20 +239,11 @@ impl IncrementalOracle {
             return Ok(full);
         }
         self.full_solves.bump();
-        let answer = match self.engine {
-            LpEngine::Dense => {
-                let mask = q.edge_mask();
-                let canon = graph.view().with_edge_mask(&mask).with_capacities(&q.caps);
-                self.inner.satisfied(&canon, demands)?
-            }
-            LpEngine::Revised => {
-                self.warm_lp_solves.bump();
-                let system = st
-                    .warm_sat
-                    .get_or_insert_with(|| WarmMaxSatisfied::build(graph, demands));
-                system.solve(&q.caps)?
-            }
-        };
+        self.warm_lp_solves.bump();
+        let answer = st
+            .warm_sat
+            .get_or_insert_with(|| WarmMaxSatisfied::build(graph, demands))
+            .solve(&q.caps)?;
         if demands.iter().zip(&answer).all(|(d, &s)| s >= d.amount) {
             insert_minimal(&mut st.fully_satisfied, q.clone());
         }
@@ -305,32 +279,22 @@ impl RoutabilityOracle for IncrementalOracle {
             return Ok(false);
         }
         self.full_solves.bump();
-        let answer = match self.engine {
-            LpEngine::Dense => {
-                let mask = q.edge_mask();
-                let canon = graph.view().with_edge_mask(&mask).with_capacities(&q.caps);
-                self.inner.is_routable(&canon, demands)?
-            }
-            LpEngine::Revised => {
-                // Cheap necessary condition first (mirrors `ExactLp`),
-                // then a warm re-solve of the fixed-structure system.
-                let mask = q.edge_mask();
-                let canon = graph.view().with_edge_mask(&mask).with_capacities(&q.caps);
-                let active: Vec<Demand> = demands
-                    .iter()
-                    .copied()
-                    .filter(|d| d.amount > 1e-12 && d.source != d.target)
-                    .collect();
-                if mcf::quick_unroutable(&canon, &active) {
-                    false
-                } else {
-                    self.warm_lp_solves.bump();
-                    let system = st
-                        .warm_rout
-                        .get_or_insert_with(|| WarmRoutability::build(graph, demands));
-                    system.solve(&q.caps)?
-                }
-            }
+        // Cheap necessary condition first (mirrors `ExactLp`), then a
+        // warm re-solve of the fixed-structure system.
+        let mask = q.edge_mask();
+        let canon = graph.view().with_edge_mask(&mask).with_capacities(&q.caps);
+        let active: Vec<Demand> = demands
+            .iter()
+            .copied()
+            .filter(|d| d.amount > 1e-12 && d.source != d.target)
+            .collect();
+        let answer = if mcf::quick_unroutable(&canon, &active) {
+            false
+        } else {
+            self.warm_lp_solves.bump();
+            st.warm_rout
+                .get_or_insert_with(|| WarmRoutability::build(graph, demands))
+                .solve(&q.caps)?
         };
         memo_insert(&mut st.memo_routable, key, answer);
         if answer {
@@ -360,11 +324,10 @@ impl EvalOracle for IncrementalOracle {
     }
 
     fn stats(&self) -> OracleStats {
-        let inner = self.inner.stats();
         OracleStats {
             routability_queries: self.routability_queries.get(),
             satisfaction_queries: self.satisfaction_queries.get(),
-            lp_solves: inner.lp_solves + self.warm_lp_solves.get(),
+            lp_solves: self.warm_lp_solves.get(),
             cache_hits: self.memo_hits.get(),
             cache_misses: self.full_solves.get(),
             warm_start_hits: self.warm_start_hits.get(),
@@ -382,7 +345,6 @@ impl EvalOracle for IncrementalOracle {
         self.full_solves.reset();
         self.warm_lp_solves.reset();
         self.generation_resets.reset();
-        self.inner.reset_stats();
     }
 
     fn warm_state(&self) -> Option<IncSnapshot> {
@@ -465,6 +427,7 @@ impl EvalOracle for IncrementalOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::ExactLp;
     use netrec_graph::{EdgeId, Graph};
 
     fn square() -> Graph {

@@ -48,7 +48,6 @@ pub use incremental::{IncSnapshot, IncrementalOracle};
 use crate::RecoveryError;
 use netrec_graph::{EdgeId, Graph, NodeId, View};
 use netrec_lp::mcf::Demand;
-use netrec_lp::LpEngine;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -230,12 +229,12 @@ pub struct OracleStats {
     pub routability_queries: usize,
     /// Satisfaction queries received.
     pub satisfaction_queries: usize,
-    /// Exact dense-tableau LPs actually solved.
+    /// Exact LPs actually solved.
     pub lp_solves: usize,
     /// Concurrent-flow approximation runs.
     pub approx_runs: usize,
     /// Approximate-backend queries answered by the exact LP because the
-    /// instance sat at or below the size threshold where the dense LP is
+    /// instance sat at or below the size threshold where the exact LP is
     /// measurably faster than Garg–Könemann.
     pub boundary_fallbacks: usize,
     /// Approximation runs that early-terminated on a certificate (λ ≥
@@ -256,8 +255,8 @@ pub struct OracleStats {
     /// Warm-start wins: answers derived from persistent state without a
     /// cold solve. For [`IncrementalOracle`] these are monotone
     /// routable/unroutable witnesses and full-satisfaction witnesses;
-    /// for [`ExactLp`] under the revised engine, routability re-solves
-    /// that started from the previous generation basis.
+    /// for [`ExactLp`], routability re-solves that started from the
+    /// previous generation basis.
     pub warm_start_hits: usize,
     /// Queries that fell through every incremental shortcut to a full
     /// inner solve ([`IncrementalOracle`] only; equals its
@@ -432,7 +431,7 @@ impl Counter {
 /// Declarative backend selection, carried by configs ([`crate::IspConfig`],
 /// the sim `Scenario`) and the CLI `--oracle` flag. Instantiate through
 /// [`OracleBuilder`] — the single front door for every construction
-/// concern (engine, artifact, warm state, instance pinning).
+/// concern (artifact, warm state, instance pinning).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub enum OracleSpec {
     /// The exact LPs (system (2) / maximum satisfied demand).
@@ -584,24 +583,20 @@ impl std::fmt::Display for OracleSpec {
 }
 
 /// The single front door for oracle construction: every concern that
-/// used to live in a separate constructor — the LP engine, a
-/// precomputed artifact, transferable warm state, pinning to a base
-/// instance — is a builder method, and every call site in the stack
-/// (solvers, runner, campaign, serve, CLI) goes through here.
+/// used to live in a separate constructor — a precomputed artifact,
+/// transferable warm state, pinning to a base instance — is a builder
+/// method, and every call site in the stack (solvers, runner, campaign,
+/// serve, CLI) goes through here.
 ///
 /// ```
 /// use netrec_core::{OracleBuilder, OracleSpec};
 ///
-/// let oracle = OracleBuilder::new(OracleSpec::Incremental)
-///     .engine(netrec_lp::LpEngine::Revised)
-///     .build()
-///     .unwrap();
+/// let oracle = OracleBuilder::new(OracleSpec::Incremental).build().unwrap();
 /// assert_eq!(oracle.name(), "incremental");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct OracleBuilder {
     spec: OracleSpec,
-    engine: Option<LpEngine>,
     artifact: Option<Arc<RoutabilityArtifact>>,
     warm: Option<IncSnapshot>,
     require_generation: Option<Vec<u64>>,
@@ -614,13 +609,6 @@ impl OracleBuilder {
             spec,
             ..OracleBuilder::default()
         }
-    }
-
-    /// Pins every solve to an explicit LP engine (default: the process
-    /// global engine).
-    pub fn engine(mut self, engine: LpEngine) -> Self {
-        self.engine = Some(engine);
-        self
     }
 
     /// Fronts the backend with an already-loaded precomputed artifact
@@ -662,7 +650,6 @@ impl OracleBuilder {
     /// [`Self::require_instance`] pin. All other specs build
     /// infallibly.
     pub fn build(self) -> Result<Box<dyn EvalOracle>, RecoveryError> {
-        let engine = self.engine.unwrap_or_else(netrec_lp::global_engine);
         // Resolve the artifact first: an explicit Arc wins, otherwise
         // an Artifact spec loads (and caches) its path.
         let artifact = match (&self.spec, self.artifact) {
@@ -681,24 +668,22 @@ impl OracleBuilder {
             }
         }
         let incremental = |warm: &Option<IncSnapshot>| {
-            let oracle = IncrementalOracle::with_engine(engine);
+            let oracle = IncrementalOracle::new();
             if let Some(snapshot) = warm {
                 oracle.restore_state(snapshot);
             }
             oracle
         };
         let base: Box<dyn EvalOracle> = match &self.spec {
-            OracleSpec::Exact => Box::new(ExactLp::with_engine(engine)),
-            OracleSpec::Approx { epsilon } => {
-                Box::new(ConcurrentFlowApprox::new(*epsilon).with_engine(engine))
-            }
+            OracleSpec::Exact => Box::new(ExactLp::new()),
+            OracleSpec::Approx { epsilon } => Box::new(ConcurrentFlowApprox::new(*epsilon)),
             OracleSpec::Auto { threshold } => {
-                Box::new(AutoOracle::new(*threshold, DEFAULT_EPSILON).with_engine(engine))
+                Box::new(AutoOracle::new(*threshold, DEFAULT_EPSILON))
             }
-            OracleSpec::CachedExact => Box::new(Cached::new(ExactLp::with_engine(engine))),
-            OracleSpec::CachedApprox { epsilon } => Box::new(Cached::new(
-                ConcurrentFlowApprox::new(*epsilon).with_engine(engine),
-            )),
+            OracleSpec::CachedExact => Box::new(Cached::new(ExactLp::new())),
+            OracleSpec::CachedApprox { epsilon } => {
+                Box::new(Cached::new(ConcurrentFlowApprox::new(*epsilon)))
+            }
             OracleSpec::Incremental | OracleSpec::Artifact { .. } => {
                 Box::new(incremental(&self.warm))
             }
@@ -722,20 +707,13 @@ pub struct AutoOracle {
 impl AutoOracle {
     /// An auto oracle with the given size threshold and approximation ε.
     /// The threshold is shared with the approximate backend's exact-LP
-    /// fast path, so above it no query may build the dense tableau.
+    /// fast path, so above it no query may build the exact LP.
     pub fn new(threshold: usize, epsilon: f64) -> Self {
         AutoOracle {
             exact: ExactLp::new(),
             approx: ConcurrentFlowApprox::new(epsilon).with_fallback_limit(threshold),
             threshold,
         }
-    }
-
-    /// Pins both inner backends to an explicit LP engine.
-    pub fn with_engine(mut self, engine: LpEngine) -> Self {
-        self.exact = ExactLp::with_engine(engine);
-        self.approx = self.approx.with_engine(engine);
-        self
     }
 
     fn pick_exact(&self, view: &View<'_>, demands: &[Demand]) -> bool {

@@ -139,7 +139,7 @@ pub fn schedule_recovery(
 /// The oracle answers every satisfied-demand question of the greedy
 /// ordering; pass a [`Cached`] backend to reuse answers across candidate
 /// evaluations and repeated runs, or an approximate backend to schedule
-/// large instances without dense LPs (the greedy ordering then follows
+/// large instances without exact LPs (the greedy ordering then follows
 /// the oracle's conservative gain estimates).
 ///
 /// # Errors

@@ -2,7 +2,6 @@
 
 use crate::oracle::{OracleSpec, OracleStats};
 use crate::RecoveryError;
-use netrec_lp::LpEngine;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -55,7 +54,6 @@ pub enum ProgressEvent {
 #[derive(Default)]
 pub struct SolveContext<'a> {
     oracle: Option<OracleSpec>,
-    lp_engine: Option<LpEngine>,
     deadline: Option<Instant>,
     cancel: Option<&'a AtomicBool>,
     progress: Option<ProgressListener<'a>>,
@@ -69,7 +67,6 @@ impl std::fmt::Debug for SolveContext<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolveContext")
             .field("oracle", &self.oracle)
-            .field("lp_engine", &self.lp_engine)
             .field("deadline", &self.deadline)
             .field("cancel", &self.cancel.map(|c| c.load(Ordering::Relaxed)))
             .field("progress", &self.progress.as_ref().map(|_| "listener"))
@@ -127,20 +124,6 @@ impl<'a> SolveContext<'a> {
     pub fn with_progress(mut self, listener: impl FnMut(&ProgressEvent) + Send + 'a) -> Self {
         self.progress = Some(Box::new(listener));
         self
-    }
-
-    /// Pins every LP this run solves — oracle queries, decision LPs,
-    /// branch-and-bound relaxations — to an explicit engine (the CLI
-    /// wires `--lp` through this). Without an override, solvers follow
-    /// the process default ([`netrec_lp::global_engine`]).
-    pub fn with_lp_engine(mut self, engine: LpEngine) -> Self {
-        self.lp_engine = Some(engine);
-        self
-    }
-
-    /// The LP engine this run must solve with.
-    pub fn lp_engine(&self) -> LpEngine {
-        self.lp_engine.unwrap_or_else(netrec_lp::global_engine)
     }
 
     /// The oracle backend this run must use, given the solver's own

@@ -191,47 +191,6 @@ fn every_registry_entry_solves_the_fixtures_within_deadline() {
     }
 }
 
-/// The `--lp dense` escape hatch: on the conformance fixtures every
-/// registry solver must produce the identical plan under both LP engines
-/// (DESIGN.md §11). Larger instances may legitimately extract different
-/// degenerate optima for the flow-based heuristics; the fixtures are the
-/// contract surface.
-#[test]
-fn dense_escape_hatch_matches_revised_on_the_fixtures() {
-    for (fixture_name, problem) in [("two_lines", two_lines()), ("diamond", diamond())] {
-        for entry in registry() {
-            let solver = entry.spec.build();
-            let mut plans = Vec::new();
-            for engine in [netrec_lp::LpEngine::Revised, netrec_lp::LpEngine::Dense] {
-                let mut ctx = SolveContext::new()
-                    .with_deadline(Duration::from_secs(60))
-                    .with_lp_engine(engine);
-                let plan = solver.solve(&problem, &mut ctx).unwrap_or_else(|e| {
-                    panic!("{} ({engine}) on {fixture_name}: {e}", entry.name())
-                });
-                assert!(
-                    plan.verify_routable(&problem).unwrap(),
-                    "{} ({engine}) plan infeasible on {fixture_name}",
-                    entry.name()
-                );
-                plans.push(plan);
-            }
-            assert_eq!(
-                plans[0].repaired_nodes,
-                plans[1].repaired_nodes,
-                "{} node repairs diverge between engines on {fixture_name}",
-                entry.name()
-            );
-            assert_eq!(
-                plans[0].repaired_edges,
-                plans[1].repaired_edges,
-                "{} edge repairs diverge between engines on {fixture_name}",
-                entry.name()
-            );
-        }
-    }
-}
-
 #[test]
 fn zero_deadline_makes_every_solver_return_deadline_exceeded() {
     let problem = diamond();

@@ -205,12 +205,6 @@ impl Graph {
         self.capacity.clone()
     }
 
-    /// The edge capacities as a borrowed slice, indexed by edge id — the
-    /// zero-copy sibling of [`Graph::capacities`].
-    pub fn capacities_slice(&self) -> &[f64] {
-        &self.capacity
-    }
-
     /// Ids of the edges incident to `n`, as one contiguous CSR slice.
     ///
     /// # Panics

@@ -49,7 +49,6 @@ mod view;
 
 pub mod cut;
 pub mod dijkstra;
-pub mod kshortest;
 pub mod maxflow;
 pub mod path;
 pub mod traversal;

@@ -1,17 +1,15 @@
-//! LP engine selection: the sparse revised simplex vs the dense tableau.
+//! LP engine selection: the sparse revised simplex and the dense tableau.
 //!
-//! [`crate::simplex::solve`] dispatches on an engine so every LP consumer
-//! — the routability oracles, ISP's decision LPs, branch & bound, the
-//! flow-cost relaxations — can be flipped between the fast sparse engine
-//! (the default) and the dense reference implementation without touching
-//! call sites. The dense engine survives as an escape hatch
-//! (`--lp dense` on the CLI) and as the differential-testing baseline.
+//! Every runtime solve — the routability oracles, ISP's decision LPs,
+//! branch & bound, the flow-cost relaxations — runs the sparse revised
+//! simplex. The dense tableau survives only as a reference that the
+//! differential tests and the `lp` bench select explicitly, through
+//! [`crate::simplex::solve_with`] and the `mcf::*_with` builders.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which simplex implementation solves LPs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LpEngine {
     /// The dense-tableau two-phase simplex ([`crate::simplex::solve_dense`])
     /// — the original reference implementation; upper bounds become
@@ -19,69 +17,10 @@ pub enum LpEngine {
     Dense,
     /// The sparse revised simplex ([`crate::revised`]) — CSC columns,
     /// native variable bounds, eta-file basis updates, warm-startable.
-    #[default]
     Revised,
 }
 
-impl LpEngine {
-    /// Parses a CLI argument: `dense` or `revised`.
-    pub fn parse(s: &str) -> Option<LpEngine> {
-        match s {
-            "dense" => Some(LpEngine::Dense),
-            "revised" => Some(LpEngine::Revised),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for LpEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LpEngine::Dense => write!(f, "dense"),
-            LpEngine::Revised => write!(f, "revised"),
-        }
-    }
-}
-
-/// Process-wide engine used by [`crate::simplex::solve`] when no explicit
-/// engine is threaded (0 = unset/Revised default, 1 = Dense, 2 = Revised).
-static GLOBAL_ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides the process-wide default engine — the CLI `--lp dense`
-/// escape hatch. Library code and tests should prefer threading an
-/// explicit [`LpEngine`] (e.g. [`crate::simplex::solve_with`]) instead,
-/// since the global affects every subsequent implicit solve in the
-/// process.
-pub fn set_global_engine(engine: LpEngine) {
-    let tag = match engine {
-        LpEngine::Dense => 1,
-        LpEngine::Revised => 2,
-    };
-    GLOBAL_ENGINE.store(tag, Ordering::Relaxed);
-}
-
-/// The current process-wide default engine ([`LpEngine::Revised`] unless
-/// [`set_global_engine`] was called).
+/// The engine every runtime solve uses: always [`LpEngine::Revised`].
 pub fn global_engine() -> LpEngine {
-    match GLOBAL_ENGINE.load(Ordering::Relaxed) {
-        1 => LpEngine::Dense,
-        _ => LpEngine::Revised,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_and_display_round_trip() {
-        for e in [LpEngine::Dense, LpEngine::Revised] {
-            assert_eq!(LpEngine::parse(&e.to_string()), Some(e));
-        }
-        assert_eq!(LpEngine::parse("magic"), None);
-        assert_eq!(LpEngine::default(), LpEngine::Revised);
-    }
-
-    // The global default itself is covered by the CLI tests; flipping it
-    // here would race with concurrently running solver tests.
+    LpEngine::Revised
 }

@@ -6,16 +6,18 @@
 //!
 //! * [`problem`](LpProblem) — an LP/MILP model builder with continuous and
 //!   binary variables, linear constraints, and an objective.
-//! * [`revised`] — the default engine: a sparse revised simplex over CSC
-//!   column storage ([`sparse`]) with native variable bounds, an eta-file
-//!   basis inverse, and warm-startable [`revised::Basis`] snapshots.
-//! * [`simplex`] — the engine-dispatching solve entry point plus the
+//! * [`revised`] — the one production engine: a sparse revised simplex
+//!   over CSC column storage ([`sparse`]) with native variable bounds, an
+//!   eta-file basis inverse, and warm-startable [`revised::Basis`]
+//!   snapshots.
+//! * [`simplex`] — the solve entry point (the revised simplex) plus the
 //!   exact two-phase dense-tableau reference implementation
-//!   ([`simplex::solve_dense`]), selectable via [`LpEngine`].
+//!   ([`simplex::solve_dense`]), which tests and benches select
+//!   explicitly through [`LpEngine`].
 //! * [`milp`] — branch & bound over the binary variables (used for the OPT
 //!   baseline, MILP (1) of the paper), with an optional node budget that
 //!   turns it into an anytime solver for large instances; child nodes
-//!   warm-start from their parent's basis under the revised engine.
+//!   warm-start from their parent's basis.
 //! * [`mcf`] — multi-commodity-flow model builders: the *routability
 //!   conditions* (system (2)), the maximum-splittable-amount LP of ISP's
 //!   Decision 2, the flow-cost relaxation LP (8) behind the MCB/MCW
@@ -55,6 +57,6 @@ pub mod revised;
 pub mod simplex;
 pub mod sparse;
 
-pub use engine::{global_engine, set_global_engine, LpEngine};
+pub use engine::{global_engine, LpEngine};
 pub use error::LpError;
 pub use problem::{LinTerm, LpProblem, LpSolution, LpStatus, Relation, Sense, VarId};

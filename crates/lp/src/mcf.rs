@@ -267,10 +267,11 @@ pub fn quick_unroutable(view: &View<'_>, demands: &[Demand]) -> bool {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn routability(view: &View<'_>, demands: &[Demand]) -> Result<Option<FlowAssignment>, LpError> {
-    routability_with(view, demands, crate::global_engine())
+    routability_with(view, demands, LpEngine::Revised)
 }
 
-/// [`routability`] with an explicit LP engine.
+/// [`routability`] with an explicit LP engine (the dense tableau is a
+/// reference for differential tests and benches).
 ///
 /// # Errors
 ///
@@ -405,10 +406,11 @@ pub fn max_shared_split(
     via: NodeId,
     cap: f64,
 ) -> Result<Option<f64>, LpError> {
-    max_shared_split_with(view, demands, h, via, cap, crate::global_engine())
+    max_shared_split_with(view, demands, h, via, cap, LpEngine::Revised)
 }
 
-/// [`max_shared_split`] with an explicit LP engine.
+/// [`max_shared_split`] with an explicit LP engine (the dense tableau is
+/// a reference for differential tests and benches).
 ///
 /// # Errors
 ///
@@ -515,15 +517,6 @@ fn split_lp(
 /// `broken_cost[e]` is `Some(kᵉ)` for broken edges and `None` for working
 /// ones. Returns the optimal cost and flows, or `None` if even the full
 /// graph cannot route the demand.
-pub fn min_broken_flow(
-    view: &View<'_>,
-    demands: &[Demand],
-    broken_cost: &[Option<f64>],
-) -> Result<Option<(f64, FlowAssignment)>, LpError> {
-    min_broken_flow_with(view, demands, broken_cost, crate::global_engine())
-}
-
-/// [`min_broken_flow`] with an explicit LP engine.
 ///
 /// # Errors
 ///
@@ -532,11 +525,10 @@ pub fn min_broken_flow(
 /// # Panics
 ///
 /// Panics if `broken_cost` does not have one entry per edge.
-pub fn min_broken_flow_with(
+pub fn min_broken_flow(
     view: &View<'_>,
     demands: &[Demand],
     broken_cost: &[Option<f64>],
-    engine: LpEngine,
 ) -> Result<Option<(f64, FlowAssignment)>, LpError> {
     assert_eq!(
         broken_cost.len(),
@@ -584,7 +576,7 @@ pub fn min_broken_flow_with(
             &[],
         );
     }
-    let sol = simplex::solve_with(&lp, engine)?;
+    let sol = simplex::solve(&lp)?;
     match sol.status {
         LpStatus::Optimal => Ok(Some((
             sol.objective,
@@ -606,24 +598,6 @@ pub fn min_broken_flow_with(
 ///
 /// Returns `None` when even the full graph cannot route the demand within
 /// the cost cap.
-pub fn broken_flow_extreme(
-    view: &View<'_>,
-    demands: &[Demand],
-    broken_cost: &[Option<f64>],
-    cost_cap: f64,
-    maximize_broken: bool,
-) -> Result<Option<FlowAssignment>, LpError> {
-    broken_flow_extreme_with(
-        view,
-        demands,
-        broken_cost,
-        cost_cap,
-        maximize_broken,
-        crate::global_engine(),
-    )
-}
-
-/// [`broken_flow_extreme`] with an explicit LP engine.
 ///
 /// # Errors
 ///
@@ -632,13 +606,12 @@ pub fn broken_flow_extreme(
 /// # Panics
 ///
 /// Panics if `broken_cost` does not have one entry per edge.
-pub fn broken_flow_extreme_with(
+pub fn broken_flow_extreme(
     view: &View<'_>,
     demands: &[Demand],
     broken_cost: &[Option<f64>],
     cost_cap: f64,
     maximize_broken: bool,
-    engine: LpEngine,
 ) -> Result<Option<FlowAssignment>, LpError> {
     assert_eq!(
         broken_cost.len(),
@@ -729,7 +702,7 @@ pub fn broken_flow_extreme_with(
             &[],
         );
     }
-    let sol = simplex::solve_with(&lp, engine)?;
+    let sol = simplex::solve(&lp)?;
     match sol.status {
         LpStatus::Optimal => Ok(Some(decode_flows(view, &vars, &sol.values, active.len()))),
         _ => Ok(None),
@@ -764,10 +737,11 @@ pub fn max_weighted_satisfied(
     demands: &[Demand],
     weights: &[f64],
 ) -> Result<(Vec<f64>, FlowAssignment), LpError> {
-    max_weighted_satisfied_with(view, demands, weights, crate::global_engine())
+    max_weighted_satisfied_with(view, demands, weights, LpEngine::Revised)
 }
 
-/// [`max_weighted_satisfied`] with an explicit LP engine.
+/// [`max_weighted_satisfied`] with an explicit LP engine (the dense
+/// tableau is a reference for differential tests).
 ///
 /// # Errors
 ///

@@ -26,11 +26,12 @@ pub struct BranchBoundConfig {
     /// relaxation bound is not strictly better are pruned. For
     /// minimization this means `bound ≥ cutoff` prunes.
     pub cutoff: Option<f64>,
-    /// LP engine for the node relaxations; `None` follows the process
-    /// default ([`crate::global_engine`]). Under [`LpEngine::Revised`]
-    /// every child node warm-starts from its parent's optimal basis — a
-    /// bound flip repaired by the dual simplex — instead of a cold solve.
-    pub engine: Option<LpEngine>,
+    /// LP engine for the node relaxations (default
+    /// [`LpEngine::Revised`]; [`LpEngine::Dense`] is a reference for
+    /// differential tests). Under the revised engine every child node
+    /// warm-starts from its parent's optimal basis — a bound flip
+    /// repaired by the dual simplex — instead of a cold solve.
+    pub engine: LpEngine,
 }
 
 impl Default for BranchBoundConfig {
@@ -40,7 +41,7 @@ impl Default for BranchBoundConfig {
             int_tol: 1e-6,
             gap: 1e-9,
             cutoff: None,
-            engine: None,
+            engine: LpEngine::Revised,
         }
     }
 }
@@ -91,7 +92,6 @@ pub fn solve(
     let mut stats = BranchBoundStats::default();
     let binaries = lp.binary_vars();
     let minimize = matches!(lp.sense(), Sense::Minimize);
-    let engine = config.engine.unwrap_or_else(crate::global_engine);
 
     // Incumbent: best integral solution so far.
     let mut best: Option<LpSolution> = None;
@@ -118,7 +118,7 @@ pub fn solve(
         for &(vi, val) in &fixings {
             sub.set_bounds(crate::VarId(vi as u32), val, Some(val))?;
         }
-        let (relax, node_basis) = match engine {
+        let (relax, node_basis) = match config.engine {
             LpEngine::Dense => (simplex::solve_dense(&sub)?, None),
             LpEngine::Revised => {
                 let ws = revised::solve_warm(&sub, parent_basis.as_deref())?;
@@ -351,15 +351,11 @@ mod tests {
             .collect();
         lp.add_constraint(terms2, Relation::Le, 4.0);
         let dense_cfg = BranchBoundConfig {
-            engine: Some(crate::LpEngine::Dense),
-            ..Default::default()
-        };
-        let revised_cfg = BranchBoundConfig {
-            engine: Some(crate::LpEngine::Revised),
+            engine: crate::LpEngine::Dense,
             ..Default::default()
         };
         let (d, _) = solve(&lp, &dense_cfg).unwrap();
-        let (r, _) = solve(&lp, &revised_cfg).unwrap();
+        let (r, _) = solve(&lp, &BranchBoundConfig::default()).unwrap();
         assert_eq!(d.status, r.status);
         assert!((d.objective - r.objective).abs() < 1e-6);
         assert!(lp.is_feasible(&r.values, 1e-6));

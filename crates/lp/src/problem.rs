@@ -176,11 +176,6 @@ impl LpProblem {
         self.vars[v.index()].objective = objective;
     }
 
-    /// Changes the optimization sense.
-    pub fn set_sense(&mut self, sense: Sense) {
-        self.sense = sense;
-    }
-
     /// The optimization sense.
     pub fn sense(&self) -> Sense {
         self.sense
@@ -246,15 +241,6 @@ impl LpProblem {
     pub fn set_constraint_rhs(&mut self, idx: usize, rhs: f64) {
         assert!(rhs.is_finite(), "constraint rhs must be finite");
         self.constraints[idx].rhs = rhs;
-    }
-
-    /// The right-hand side of constraint `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn constraint_rhs(&self, idx: usize) -> f64 {
-        self.constraints[idx].rhs
     }
 
     /// Evaluates the objective at a point.

@@ -1,9 +1,9 @@
 //! Sparse revised simplex with native variable bounds and warm-started
 //! bases.
 //!
-//! This is the default LP engine behind [`crate::simplex::solve`] (the
-//! dense tableau remains available as [`crate::simplex::solve_dense`],
-//! selectable via [`crate::LpEngine::Dense`]). Differences from the dense
+//! This is the LP engine behind [`crate::simplex::solve`] and every
+//! runtime solve (the dense tableau remains as a reference,
+//! [`crate::simplex::solve_dense`]). Differences from the dense
 //! reference implementation that matter for performance:
 //!
 //! * **Column storage** — the constraint matrix lives in CSC form
@@ -39,8 +39,8 @@
 //! the ~√n columns of the current list, refilled by a cyclic scan when it
 //! runs dry — a full wrap that finds no violator proves optimality, so
 //! partial pricing never changes answers, only which violator enters.
-//! The classic Dantzig full scan is kept behind
-//! `NETREC_LP_PRICING=dantzig` (see [`Pricing`]) and both strategies
+//! The classic Dantzig full scan stays selectable per call ([`solve_with`],
+//! [`WarmSolver::set_pricing`]; see [`Pricing`]) and both strategies
 //! switch to Bland's rule under sustained degeneracy, mirroring the
 //! dense engine's anti-cycling guarantee.
 
@@ -313,19 +313,9 @@ pub enum Pricing {
     #[default]
     Devex,
     /// Classic Dantzig pricing: full scan, most-violated reduced cost.
-    /// Kept for differential testing and as a diagnostic baseline
-    /// (`NETREC_LP_PRICING=dantzig`).
+    /// Kept for differential testing and as a benchmark baseline, both
+    /// of which select it explicitly.
     Dantzig,
-}
-
-/// Pricing strategy from the `NETREC_LP_PRICING` environment variable:
-/// `dantzig` restores the full-scan baseline, anything else (including
-/// unset) selects devex.
-pub fn pricing_from_env() -> Pricing {
-    match std::env::var("NETREC_LP_PRICING") {
-        Ok(v) if v.eq_ignore_ascii_case("dantzig") => Pricing::Dantzig,
-        _ => Pricing::Devex,
-    }
 }
 
 /// Partial-pricing candidate list size: ~√n keeps the per-iteration
@@ -1366,21 +1356,21 @@ impl std::fmt::Debug for WarmSolver {
 }
 
 impl WarmSolver {
-    /// Captures `lp` (structure fixed from here on). Pricing follows
-    /// `NETREC_LP_PRICING`; see [`WarmSolver::set_pricing`].
+    /// Captures `lp` (structure fixed from here on). Prices with devex;
+    /// see [`WarmSolver::set_pricing`].
     pub fn new(lp: LpProblem) -> WarmSolver {
         let inst = Instance::build(&lp);
         WarmSolver {
             lp,
             inst,
             state: None,
-            pricing: pricing_from_env(),
+            pricing: Pricing::Devex,
         }
     }
 
     /// Overrides the pricing strategy for subsequent solves (benchmarks
-    /// and differential tests pick explicitly to avoid environment
-    /// races; production callers keep the env-derived default).
+    /// and differential tests select Dantzig this way; production
+    /// callers keep devex).
     pub fn set_pricing(&mut self, pricing: Pricing) {
         self.pricing = pricing;
     }
@@ -1469,9 +1459,9 @@ pub fn solve(lp: &LpProblem) -> Result<LpSolution, LpError> {
     solve_warm(lp, None).map(|ws| ws.solution)
 }
 
-/// Solves `lp` with an explicit [`Pricing`] strategy, bypassing the
-/// `NETREC_LP_PRICING` environment default. Differential tests use this
-/// to compare devex against Dantzig without environment races.
+/// Solves `lp` with an explicit [`Pricing`] strategy instead of devex.
+/// Differential tests and the scale bench use this to compare devex
+/// against Dantzig.
 ///
 /// # Errors
 ///
@@ -1490,11 +1480,10 @@ pub fn solve_with(lp: &LpProblem, pricing: Pricing) -> Result<LpSolution, LpErro
 ///
 /// Returns [`LpError::IterationLimit`] on pivot-limit exhaustion.
 pub fn solve_warm(lp: &LpProblem, warm: Option<&Basis>) -> Result<WarmSolve, LpError> {
-    solve_warm_with(lp, warm, pricing_from_env())
+    solve_warm_with(lp, warm, Pricing::Devex)
 }
 
-/// [`solve_warm`] with an explicit [`Pricing`] strategy instead of the
-/// `NETREC_LP_PRICING` environment default.
+/// [`solve_warm`] with an explicit [`Pricing`] strategy instead of devex.
 ///
 /// # Errors
 ///

@@ -3,10 +3,10 @@
 //!
 //! [`solve`] is the workhorse behind the routability test (system (2) of
 //! the paper), ISP's Decision 2 LP, the LP relaxation inside branch &
-//! bound, and the flow-cost relaxation LP (8). It is a thin wrapper that
-//! dispatches on an [`LpEngine`]: by default the sparse revised simplex
-//! ([`crate::revised`]), with the dense tableau ([`solve_dense`]) kept as
-//! the reference implementation and escape hatch (`--lp dense`).
+//! bound, and the flow-cost relaxation LP (8). It runs the sparse revised
+//! simplex ([`crate::revised`]); the dense tableau ([`solve_dense`]) stays
+//! as the reference implementation that the differential tests and the
+//! `lp` bench select explicitly through [`solve_with`].
 //!
 //! The dense engine is a textbook primal simplex on a dense tableau with:
 //!
@@ -20,7 +20,7 @@
 //! Binary variables are relaxed to `[0, 1]`; use [`crate::milp::solve`] for
 //! integral solutions.
 
-use crate::engine::{global_engine, LpEngine};
+use crate::engine::LpEngine;
 use crate::problem::{ConstraintDef, LpProblem, LpSolution, LpStatus, Relation, Sense};
 use crate::LpError;
 
@@ -28,8 +28,7 @@ use crate::LpError;
 pub const TOL: f64 = 1e-9;
 
 /// Solves `lp` exactly (binary variables relaxed to `[0, 1]`) with the
-/// process default engine — the sparse revised simplex unless
-/// [`crate::set_global_engine`] picked the dense escape hatch.
+/// sparse revised simplex.
 ///
 /// # Errors
 ///
@@ -51,7 +50,7 @@ pub const TOL: f64 = 1e-9;
 /// # Ok::<(), netrec_lp::LpError>(())
 /// ```
 pub fn solve(lp: &LpProblem) -> Result<LpSolution, LpError> {
-    solve_with(lp, global_engine())
+    crate::revised::solve(lp)
 }
 
 /// Solves `lp` with an explicit engine.

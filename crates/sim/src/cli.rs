@@ -46,9 +46,6 @@ pub struct CliOptions {
     pub seed: u64,
     /// Optional per-stage budget for a repair schedule.
     pub schedule_budget: Option<f64>,
-    /// LP engine override (`None` = the process default, the sparse
-    /// revised simplex).
-    pub lp_engine: Option<netrec_lp::LpEngine>,
     /// Whether to print the solver's evaluation-oracle counters.
     pub oracle_stats: bool,
     /// Whether to print the single-failure robustness report.
@@ -94,13 +91,6 @@ usage: netrec-cli [options]
                        fall through to the incremental backend on misses
   --oracle-stats       also print the solver's oracle counters (queries,
                        LP solves, cache hits, warm starts)
-  --lp revised | dense LP engine: sparse revised simplex with warm-started
-                       bases (default), or the dense-tableau reference
-                       implementation as an escape hatch; the revised
-                       engine prices with devex partial candidate lists
-                       (NETREC_LP_PRICING=dantzig restores the full-scan
-                       baseline; time-vs-n tracked by the scale bench,
-                       BENCH_scale.json)
   --seed N             RNG seed                          (default 42)
   --schedule BUDGET    also print a staged repair schedule
   --report             also print the single-failure robustness report
@@ -138,7 +128,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, UsageError> {
         disrupt: DisruptionModel::Complete,
         algorithm: SolverSpec::isp(),
         oracle: None,
-        lp_engine: None,
         seed: 42,
         schedule_budget: None,
         oracle_stats: false,
@@ -193,13 +182,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, UsageError> {
                     UsageError(format!(
                         "unknown oracle {v}; use exact|approx[:eps]|auto[:threshold]|cached|cached-approx[:eps]|incremental|artifact:path=FILE"
                     ))
-                })?);
-            }
-            "--lp" => {
-                i += 1;
-                let v = need(i, "--lp", args)?;
-                opts.lp_engine = Some(netrec_lp::LpEngine::parse(&v).ok_or_else(|| {
-                    UsageError(format!("unknown LP engine {v}; use revised|dense"))
                 })?);
             }
             "--oracle-stats" => opts.oracle_stats = true,
@@ -433,19 +415,10 @@ pub fn run(opts: &CliOptions) -> Result<String, UsageError> {
     // --oracle-stats.
     let solver = opts.algorithm.build();
     let mut solver_oracle_stats: Option<OracleStats> = None;
-    if let Some(engine) = opts.lp_engine {
-        // The escape hatch must cover every solve in the process,
-        // including paths that do not thread a context (plan
-        // verification, the robustness report).
-        netrec_lp::set_global_engine(engine);
-    }
     let plan = {
         let mut ctx = SolveContext::new();
         if let Some(oracle) = opts.oracle.clone() {
             ctx = ctx.with_oracle(oracle);
-        }
-        if let Some(engine) = opts.lp_engine {
-            ctx = ctx.with_lp_engine(engine);
         }
         let mut ctx = ctx.with_progress(|event| {
             if let ProgressEvent::OracleSnapshot(stats) = event {
@@ -462,9 +435,6 @@ pub fn run(opts: &CliOptions) -> Result<String, UsageError> {
     };
 
     out.push_str(&format!("\nplan ({}):\n", plan.algorithm));
-    if let Some(engine) = opts.lp_engine {
-        out.push_str(&format!("  lp engine: {engine}\n"));
-    }
     if let Some(spec) = &opts.oracle {
         if opts.algorithm.uses_oracle() {
             out.push_str(&format!("  oracle: {spec}\n"));
@@ -652,18 +622,9 @@ mod tests {
         assert!(parse_args(&args(&["--algo", "magic"])).is_err());
         assert!(parse_args(&args(&["--algo", "isp:banana=1"])).is_err());
         assert!(parse_args(&args(&["--oracle", "tea-leaves"])).is_err());
-        assert!(parse_args(&args(&["--lp", "tea-leaves"])).is_err());
-        assert!(parse_args(&args(&["--lp"])).is_err());
+        // The retired LP-engine flag is an unknown argument now.
+        assert!(parse_args(&args(&["--lp", "dense"])).is_err());
         assert!(parse_args(&args(&["--seed"])).is_err());
-    }
-
-    #[test]
-    fn parses_lp_engine() {
-        assert_eq!(parse_args(&[]).unwrap().lp_engine, None);
-        let o = parse_args(&args(&["--lp", "dense"])).unwrap();
-        assert_eq!(o.lp_engine, Some(netrec_lp::LpEngine::Dense));
-        let o = parse_args(&args(&["--lp", "revised"])).unwrap();
-        assert_eq!(o.lp_engine, Some(netrec_lp::LpEngine::Revised));
     }
 
     #[test]

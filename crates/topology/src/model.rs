@@ -60,15 +60,6 @@ impl Topology {
         &self.graph
     }
 
-    /// Mutable access to the supply graph (e.g. to retune capacities).
-    ///
-    /// Adding nodes through this handle without extending coordinates
-    /// breaks the coordinate/node correspondence; prefer
-    /// [`Topology::add_node_at`].
-    pub fn graph_mut(&mut self) -> &mut Graph {
-        &mut self.graph
-    }
-
     /// Adds a node with a coordinate, keeping the correspondence intact.
     pub fn add_node_at(&mut self, x: f64, y: f64) -> NodeId {
         let id = self.graph.add_node();
