@@ -1,7 +1,7 @@
 //! LP engine benchmarks: sparse revised simplex vs the dense-tableau
 //! reference, cold and warm (DESIGN.md §11).
 //!
-//! Writes `BENCH_lp.json` with three pairings:
+//! Writes `BENCH_lp.json` with four pairings:
 //!
 //! * `routability_bell_dense` / `routability_bell_revised` — one
 //!   routability LP (system (2)) on the Bell-Canada instance's full view
@@ -16,7 +16,14 @@
 //!   back one at a time and every state asks "routable yet?". Cold
 //!   rebuilds and re-solves the LP from scratch per state; warm re-solves
 //!   one fixed-structure [`WarmRoutability`] system from the previous
-//!   basis (dual-simplex repair of the patched rows).
+//!   basis (dual-simplex repair of the patched rows);
+//! * `split_bell_per_demand` / `split_bell_lp` — ISP's Decision-2 split
+//!   LP on a Bell split that the sequential routing cannot certify. The
+//!   per-demand side solves the routability LP of the split at its
+//!   answer, with one flow commodity per demand; the LP side is the
+//!   production [`mcf::max_shared_split`], whose LP gives every shared
+//!   endpoint one commodity. A split LP with one commodity per demand
+//!   would be slower than the per-demand side, not faster.
 //!
 //! The committed baseline is gated by `tests/perf_gate.rs` (ratios only,
 //! so machine speed cancels out).
@@ -24,7 +31,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use netrec_bench::{bell_instance, problem_for};
 use netrec_disrupt::DisruptionModel;
-use netrec_lp::mcf::{self, WarmRoutability};
+use netrec_lp::mcf::{self, Demand, WarmRoutability};
 use netrec_lp::LpEngine;
 use netrec_topology::demand::DemandSpec;
 use std::hint::black_box;
@@ -110,6 +117,41 @@ fn bench(c: &mut Criterion) {
                 }
             }
             routable
+        })
+    });
+
+    // Demand 0 split via node 45 on the intact Bell graph: routed in list
+    // order at the bound of 11 the split does not fit, and the LP's
+    // optimum is 10.
+    let topology = netrec_topology::bell::bell_canada();
+    let split_view = topology.graph().view();
+    let node = |i| topology.graph().node(i);
+    let split_demands = [
+        (38, 31, 11.0),
+        (44, 13, 11.0),
+        (38, 26, 10.0),
+        (44, 3, 2.0),
+        (38, 28, 3.0),
+        (41, 1, 9.0),
+    ]
+    .map(|(s, t, amount)| Demand::new(node(s), node(t), amount));
+    let (h, via, cap) = (0, node(45), 11.0);
+    let at_cap = mcf::split_demands(&split_demands, h, via, cap);
+    assert!(
+        mcf::route_sequentially(&split_view, &at_cap).is_none(),
+        "the split at its bound must fall back to the LP"
+    );
+    let dx = mcf::max_shared_split(&split_view, &split_demands, h, via, cap)
+        .unwrap()
+        .unwrap();
+    assert!((dx - 10.0).abs() < 1e-9, "split LP answered {dx}, not 10");
+    let at_dx = mcf::split_demands(&split_demands, h, via, 10.0);
+    g.bench_function("split_bell_per_demand", |b| {
+        b.iter(|| mcf::routability(black_box(&split_view), &at_dx).unwrap())
+    });
+    g.bench_function("split_bell_lp", |b| {
+        b.iter(|| {
+            mcf::max_shared_split(black_box(&split_view), &split_demands, h, via, cap).unwrap()
         })
     });
 

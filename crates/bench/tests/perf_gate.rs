@@ -7,8 +7,8 @@
 //! machine-speed-independent, so the gate catches gross regressions —
 //! a runtime path falling back to the dense tableau (the Bell pair's
 //! fast side is the production `mcf::routability`), a warm-start path
-//! that stopped warm starting — without flaking on slow or noisy
-//! runners.
+//! that stopped warm starting, a split LP back at one flow commodity
+//! per demand — without flaking on slow or noisy runners.
 //!
 //! Without `NETREC_PERF_GATE_DIR` set (plain `cargo test`) the gates
 //! are skipped: measuring inside a debug test run would be meaningless.
@@ -82,6 +82,10 @@ const GATES: &[(&str, &str, f64)] = &[
     // The fig7 routability LP is ~90× faster revised; even half of a
     // conservative 10× claim catches a dense fallback instantly.
     ("routability_fig7_dense", "routability_fig7_revised", 5.0),
+    // The Bell split LP, one commodity per shared endpoint, is ~4.4×
+    // faster than the per-demand routability LP of the same split; one
+    // commodity per demand would make it ~2× slower ⇒ gate at 1.5×.
+    ("split_bell_per_demand", "split_bell_lp", 1.5),
 ];
 
 #[test]
@@ -96,8 +100,8 @@ fn lp_engine_speedup_ratios_hold() {
         assert!(
             ratio >= min_ratio,
             "{slow} / {fast} = {ratio:.2}x, below the {min_ratio}x gate \
-             ({slow_ns:.0} ns vs {fast_ns:.0} ns) — did the revised engine \
-             or the warm-start path regress?"
+             ({slow_ns:.0} ns vs {fast_ns:.0} ns) — did the revised engine, \
+             the warm-start path or the split LP's commodity grouping regress?"
         );
     }
 }

@@ -15,8 +15,9 @@
 //!    broken, select the contributing demand that is hardest to route
 //!    elsewhere (Decision 1), and re-route the largest safe amount `dx`
 //!    through `v_BC` (Decision 2 — an LP, skipped when a sequential
-//!    max-flow routing of the split at its upper bound already fits; see
-//!    [`mcf::max_shared_split`]).
+//!    max-flow routing of the split at its upper bound already fits, and
+//!    otherwise solved with one flow commodity per shared demand endpoint;
+//!    see [`mcf::max_shared_split`]).
 //!
 //! The loop ends when the demand set is empty or routable on the working
 //! subgraph; the accumulated repair list is the recovery plan.

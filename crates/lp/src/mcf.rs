@@ -9,7 +9,8 @@
 //!   one demand that can be re-routed through a chosen node without
 //!   breaking routability of the whole instance. A feasible routing at
 //!   the upper bound ([`route_sequentially`]) certifies the answer without
-//!   an LP; the LP runs only when that routing fails.
+//!   an LP; the LP runs only when that routing fails, with one flow
+//!   commodity per shared endpoint rather than one per demand.
 //! * [`min_broken_flow`] — LP (8): route all demands while minimizing the
 //!   cost-weighted flow crossing broken edges (the multi-commodity
 //!   relaxation behind the MCB/MCW baselines).
@@ -23,7 +24,7 @@
 use crate::problem::{LinTerm, LpProblem, Relation, Sense, VarId};
 use crate::{revised, simplex, LpEngine, LpError, LpStatus};
 use netrec_graph::{maxflow, traversal, EdgeId, Graph, NodeId, View};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 
 /// A demand pair `(s_h, t_h)` with its flow requirement `d_h`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,8 +99,8 @@ impl FlowAssignment {
 
 /// Internal: the variable layout of an MCF model.
 struct McfVars {
-    /// `pair[h][e]`: the (u→v, v→u) flow variables of demand `h` on edge
-    /// `e`, or `None` if the edge is not in the model.
+    /// `pair[k][e]`: the (u→v, v→u) flow variables of commodity `k` on
+    /// edge `e`, or `None` if the edge is not in the model.
     pair: Vec<Vec<Option<(VarId, VarId)>>>,
     /// Whether each node takes part in the model.
     node_active: Vec<bool>,
@@ -108,11 +109,19 @@ struct McfVars {
     cap_row: Vec<Option<usize>>,
 }
 
-/// Builds flow variables and capacity constraints shared by all models.
+/// Builds `commodities` sets of flow variables and the capacity
+/// constraints they share.
 ///
-/// Restricts to connected components (in `view`) containing at least one
-/// endpoint of a demand with positive relevance (`relevant[h]`).
-fn build_mcf_vars(lp: &mut LpProblem, view: &View<'_>, demands: &[Demand]) -> McfVars {
+/// Restricts the model to the connected components (in `view`) that
+/// contain an endpoint of some entry of `demands`. Most models give each
+/// demand its own commodity and pass `demands.len()`; the split LP passes
+/// one commodity per root endpoint ([`root_commodities`]).
+fn build_mcf_vars(
+    lp: &mut LpProblem,
+    view: &View<'_>,
+    demands: &[Demand],
+    commodities: usize,
+) -> McfVars {
     // Mark relevant components by BFS from each endpoint.
     let mut node_active = vec![false; view.node_count()];
     for d in demands {
@@ -128,8 +137,7 @@ fn build_mcf_vars(lp: &mut LpProblem, view: &View<'_>, demands: &[Demand]) -> Mc
         }
     }
 
-    let h_count = demands.len();
-    let mut pair = vec![vec![None; view.edge_count()]; h_count];
+    let mut pair = vec![vec![None; view.edge_count()]; commodities];
     for e in view.enabled_edges() {
         if view.capacity(e) <= 0.0 {
             continue;
@@ -138,15 +146,14 @@ fn build_mcf_vars(lp: &mut LpProblem, view: &View<'_>, demands: &[Demand]) -> Mc
         if !node_active[u.index()] || !node_active[v.index()] {
             continue;
         }
-        for (h, row) in pair.iter_mut().enumerate() {
-            let _ = h;
+        for row in pair.iter_mut() {
             let f_uv = lp.add_var(0.0, None, 0.0);
             let f_vu = lp.add_var(0.0, None, 0.0);
             row[e.index()] = Some((f_uv, f_vu));
         }
     }
 
-    // Capacity constraints: Σ_h (f_uv + f_vu) ≤ c_e.
+    // Capacity constraints: Σ_k (f_uv + f_vu) ≤ c_e.
     let mut cap_row = vec![None; view.edge_count()];
     for e in view.enabled_edges() {
         let mut terms = Vec::new();
@@ -169,9 +176,10 @@ fn build_mcf_vars(lp: &mut LpProblem, view: &View<'_>, demands: &[Demand]) -> Mc
     }
 }
 
-/// Adds flow-conservation rows `Σ out − Σ in − Σ extra = rhs` for demand
-/// `h` at every active node. `extra(node)` lets callers couple the balance
-/// to auxiliary variables (split parameter, satisfied-amount variable).
+/// Adds flow-conservation rows `Σ out − Σ in + Σ extra = rhs` for
+/// commodity `h` at every active node. `extra(node)` lets callers couple
+/// the balance to auxiliary variables (split parameter, satisfied-amount
+/// variable).
 fn add_conservation<F>(
     lp: &mut LpProblem,
     view: &View<'_>,
@@ -293,7 +301,7 @@ pub fn routability_with(
         return Ok(None);
     }
     let mut lp = LpProblem::new(Sense::Minimize);
-    let vars = build_mcf_vars(&mut lp, view, &active);
+    let vars = build_mcf_vars(&mut lp, view, &active, active.len());
     for (h, d) in active.iter().enumerate() {
         add_conservation(
             &mut lp,
@@ -412,6 +420,13 @@ pub fn max_shared_split(
 /// [`max_shared_split`] with an explicit LP engine (the dense tableau is
 /// a reference for differential tests and benches).
 ///
+/// The LP behind both gives every group of entries that share an endpoint
+/// one single-source flow commodity instead of one per demand (DESIGN.md
+/// §17 has the rooting rule). A single-source flow with non-negative
+/// supplies decomposes into paths to its sinks, so for non-negative
+/// amounts the grouping leaves the feasible values of `dx`, and the
+/// optimum, as they are; it only shrinks the LP.
+///
 /// # Errors
 ///
 /// Propagates simplex numerical failures.
@@ -429,8 +444,8 @@ pub fn max_shared_split_with(
 ) -> Result<Option<f64>, LpError> {
     assert!(h < demands.len(), "demand index out of range");
     let cap = cap.min(demands[h].amount).max(0.0);
-    // `cap > 0` keeps a negative `d_h`, which the LP routes backwards and
-    // the routing would skip, on the LP path.
+    // `cap > 0` keeps a negative `d_h` (outside `Demand`'s contract),
+    // which the routing would skip, on the LP path.
     if cap > 0.0 && route_sequentially(view, &split_demands(demands, h, via, cap)).is_some() {
         return Ok(Some(cap));
     }
@@ -447,61 +462,40 @@ fn split_lp(
     cap: f64,
     engine: LpEngine,
 ) -> Result<Option<f64>, LpError> {
-    // Demand list: the originals as given, then the two new pairs at a
-    // fixed amount of 0; the `dx` terms enter the balance rows below.
+    // The originals as given, then the two new pairs at a fixed amount of
+    // 0, each with the sign σ of `dx` in its amount: `d_h − dx` for `h`,
+    // `dx` for the new pairs. The `dx` terms enter the balance rows.
     let all = split_demands(demands, h, via, 0.0);
-
-    let active_idx: Vec<usize> = (0..all.len())
-        .filter(|&i| {
-            let d = all[i];
+    let active: Vec<(Demand, f64)> = all
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &d)| {
+            let sigma = if i == h {
+                -1.0
+            } else if i >= demands.len() {
+                1.0
+            } else {
+                0.0
+            };
             // Keep the parameterized pairs even at 0 fixed amount.
-            i == h || i >= demands.len() || (d.amount > 0.0 && d.source != d.target)
+            (sigma != 0.0 || (d.amount > 0.0 && d.source != d.target)).then_some((d, sigma))
         })
         .collect();
-    let active: Vec<Demand> = active_idx.iter().map(|&i| all[i]).collect();
+    let commodities = root_commodities(&active);
+    // Degenerate entries get no commodity, but their endpoints still mark
+    // components active.
+    let endpoints: Vec<Demand> = active.iter().map(|&(d, _)| d).collect();
 
     let mut lp = LpProblem::new(Sense::Maximize);
     let dx = lp.add_var(0.0, Some(cap), 1.0);
-    let vars = build_mcf_vars(&mut lp, view, &active);
-
-    for (k, &orig_i) in active_idx.iter().enumerate() {
-        let d = all[orig_i];
-        // Coefficient of dx in this demand's balance at each endpoint.
-        // For the split demand h: amount = d_h − dx.
-        // For the two new pairs: amount = dx.
-        let dx_sign: f64 = if orig_i == h {
-            -1.0
-        } else if orig_i >= demands.len() {
-            1.0
-        } else {
-            0.0
-        };
-        // Balance: Σout − Σin = amount at source, −amount at target.
-        // amount = fixed + dx_sign·dx  →  Σout − Σin − dx_sign·dx·(±1) = fixed·(±1)
-        let mut extra = Vec::new();
-        if dx_sign != 0.0 && d.source != d.target {
-            extra.push((d.source, dx, -dx_sign));
-            extra.push((d.target, dx, dx_sign));
-        }
-        if d.source == d.target {
-            continue; // degenerate split via an endpoint: balance is trivial
-        }
-        add_conservation(
-            &mut lp,
-            view,
-            &vars,
-            k,
-            |n| {
-                if n == d.source {
-                    d.amount
-                } else if n == d.target {
-                    -d.amount
-                } else {
-                    0.0
-                }
-            },
-            &extra,
-        );
+    let vars = build_mcf_vars(&mut lp, view, &endpoints, commodities.len());
+    for (k, commodity) in commodities.iter().enumerate() {
+        let extra: Vec<(NodeId, VarId, f64)> = commodity
+            .dx_coef
+            .iter()
+            .map(|&(n, coef)| (n, dx, coef))
+            .collect();
+        add_conservation(&mut lp, view, &vars, k, |n| commodity.supply(n), &extra);
     }
 
     let sol = simplex::solve_with(&lp, engine)?;
@@ -509,6 +503,82 @@ fn split_lp(
         LpStatus::Optimal => Ok(Some(sol.value(dx).clamp(0.0, cap))),
         _ => Ok(None),
     }
+}
+
+/// One single-source commodity of the split LP: the entries that share a
+/// root endpoint, each routed from the root to its other endpoint.
+struct RootCommodity {
+    /// Fixed balance `b(n)` of each node the commodity touches.
+    supply: Vec<(NodeId, f64)>,
+    /// Coefficient `c(n)` of `dx` in each node's balance, zeros dropped.
+    dx_coef: Vec<(NodeId, f64)>,
+}
+
+impl RootCommodity {
+    fn supply(&self, n: NodeId) -> f64 {
+        self.supply
+            .iter()
+            .find(|&&(at, _)| at == n)
+            .map_or(0.0, |&(_, b)| b)
+    }
+}
+
+/// Adds `value` to `n`'s entry of a sparse per-node list.
+fn accumulate(list: &mut Vec<(NodeId, f64)>, n: NodeId, value: f64) {
+    match list.iter_mut().find(|(at, _)| *at == n) {
+        Some((_, sum)) => *sum += value,
+        None => list.push((n, value)),
+    }
+}
+
+/// Groups the split LP's entries into single-source commodities.
+///
+/// Each entry is a demand with the sign `σ` of `dx` in its amount
+/// (`amount + σ·dx`). Degenerate entries (`source == target`) route
+/// nothing and get no commodity. Roots are chosen greedily: the node that
+/// is an endpoint of the most unassigned entries (the lowest node id on
+/// ties) takes every unassigned entry touching it, in list order, until
+/// none is left; commodity `k` belongs to the `k`-th root. Each member is
+/// oriented root → other endpoint (an entry whose target is the root is
+/// flipped), so in the balance rows `Σout − Σin + c·dx = b` it adds its
+/// amount to `b(root)` and subtracts it from `b(other)`, and subtracts
+/// `σ` from `c(root)` and adds it to `c(other)`. Where `h` and a new pair
+/// share the root, their `dx` terms cancel.
+fn root_commodities(entries: &[(Demand, f64)]) -> Vec<RootCommodity> {
+    let touches = |d: &Demand, n: NodeId| d.source == n || d.target == n;
+    let mut open: Vec<(Demand, f64)> = entries
+        .iter()
+        .copied()
+        .filter(|(d, _)| d.source != d.target)
+        .collect();
+    let mut commodities = Vec::new();
+    while !open.is_empty() {
+        let root = open
+            .iter()
+            .flat_map(|(d, _)| [d.source, d.target])
+            .max_by_key(|&n| {
+                let degree = open.iter().filter(|(d, _)| touches(d, n)).count();
+                (degree, Reverse(n))
+            })
+            .expect("an open entry has endpoints");
+        let (members, rest): (Vec<_>, Vec<_>) =
+            open.into_iter().partition(|(d, _)| touches(d, root));
+        open = rest;
+        let mut commodity = RootCommodity {
+            supply: Vec::new(),
+            dx_coef: Vec::new(),
+        };
+        for (d, sigma) in members {
+            let other = if d.source == root { d.target } else { d.source };
+            accumulate(&mut commodity.supply, root, d.amount);
+            accumulate(&mut commodity.supply, other, -d.amount);
+            accumulate(&mut commodity.dx_coef, root, -sigma);
+            accumulate(&mut commodity.dx_coef, other, sigma);
+        }
+        commodity.dx_coef.retain(|&(_, coef)| coef != 0.0);
+        commodities.push(commodity);
+    }
+    commodities
 }
 
 /// LP (8): route all demands on the *full* graph (broken elements included
@@ -547,7 +617,7 @@ pub fn min_broken_flow(
         return Ok(None);
     }
     let mut lp = LpProblem::new(Sense::Minimize);
-    let vars = build_mcf_vars(&mut lp, view, &active);
+    let vars = build_mcf_vars(&mut lp, view, &active, active.len());
     // Objective: cost on broken edges.
     for (h, row) in vars.pair.iter().enumerate() {
         let _ = h;
@@ -634,7 +704,7 @@ pub fn broken_flow_extreme(
     } else {
         Sense::Minimize
     });
-    let vars = build_mcf_vars(&mut lp, view, &active);
+    let vars = build_mcf_vars(&mut lp, view, &active, active.len());
     // Cost-cap row over the broken-edge flow.
     let mut cap_terms = Vec::new();
     for row in &vars.pair {
@@ -792,7 +862,7 @@ pub fn max_weighted_satisfied_with(
             lp.add_var(0.0, Some(ub), weights[i].max(1e-9))
         })
         .collect();
-    let vars = build_mcf_vars(&mut lp, view, &active);
+    let vars = build_mcf_vars(&mut lp, view, &active, active.len());
     for (k, d) in active.iter().enumerate() {
         let extra = vec![(d.source, t[k], -1.0), (d.target, t[k], 1.0)];
         add_conservation(&mut lp, view, &vars, k, |_| 0.0, &extra);
@@ -855,7 +925,7 @@ impl WarmRoutability {
         let ones = vec![1.0; graph.edge_count()];
         let view = graph.view().with_capacities(&ones);
         let mut lp = LpProblem::new(Sense::Minimize);
-        let vars = build_mcf_vars(&mut lp, &view, &active);
+        let vars = build_mcf_vars(&mut lp, &view, &active, active.len());
         for (h, d) in active.iter().enumerate() {
             add_conservation(
                 &mut lp,
@@ -962,7 +1032,7 @@ impl WarmMaxSatisfied {
                 lp.add_var(0.0, Some(ub), 1.0)
             })
             .collect();
-        let vars = build_mcf_vars(&mut lp, &view, &active);
+        let vars = build_mcf_vars(&mut lp, &view, &active, active.len());
         for (k, d) in active.iter().enumerate() {
             let extra = vec![(d.source, t[k], -1.0), (d.target, t[k], 1.0)];
             add_conservation(&mut lp, &view, &vars, k, |_| 0.0, &extra);
@@ -1174,18 +1244,46 @@ mod tests {
     #[test]
     fn max_split_respects_conflicting_demand() {
         let g = square();
-        let demands = [
-            Demand::new(g.node(0), g.node(3), 8.0),
-            Demand::new(g.node(0), g.node(2), 2.0), // eats bottom capacity
+        // The conflicting demand written both ways round: as (2, 0) its
+        // root 0's commodity flips it, and the `dx` terms of `h` and the
+        // new pair (0, 2) cancel at that root.
+        for conflict in [
+            Demand::new(g.node(0), g.node(2), 2.0),
+            Demand::new(g.node(2), g.node(0), 2.0),
+        ] {
+            let demands = [Demand::new(g.node(0), g.node(3), 8.0), conflict];
+            // Splitting via node 2 sends 2 + 2·dx across the cut around
+            // node 2 (the conflicting 2, then dx into and dx out of it),
+            // whose edges carry 4 + 4 = 8: the optimum is exactly dx = 3.
+            for engine in [LpEngine::Revised, LpEngine::Dense] {
+                let dx = max_shared_split_with(&g.view(), &demands, 0, g.node(2), 8.0, engine)
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(dx, 3.0, "{conflict:?} {engine:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_lp_gives_each_shared_endpoint_one_commodity() {
+        let g = square();
+        let [n0, n2, n3] = [g.node(0), g.node(2), g.node(3)];
+        // `h` = (0, 3) split via 2 beside (2, 0): nodes 0 and 2 each touch
+        // three entries, so the lower, 0, roots `h`, the flipped (2, 0)
+        // and the new pair (0, 2); node 2 then roots the pair (2, 3).
+        let entries = [
+            (Demand::new(n0, n3, 8.0), -1.0),
+            (Demand::new(n2, n0, 2.0), 0.0),
+            (Demand::new(n0, n2, 0.0), 1.0),
+            (Demand::new(n2, n3, 0.0), 1.0),
         ];
-        let dx = max_shared_split(&g.view(), &demands, 0, g.node(2), 8.0)
-            .unwrap()
-            .unwrap();
-        // Bottom route now has 2 spare on edge e2 (0-2). The conflicting
-        // demand could also route 0-1-3-2... wait, it can: top has 10.
-        // Either way dx must keep the instance routable.
-        assert!(dx >= 2.0 - 1e-6);
-        assert!(dx <= 4.0 + 1e-6);
+        let roots = root_commodities(&entries);
+        assert_eq!(roots.len(), 2);
+        assert_eq!(roots[0].supply, vec![(n0, 10.0), (n3, -8.0), (n2, -2.0)]);
+        // The `dx` terms of `h` and of the pair (0, 2) cancel at root 0.
+        assert_eq!(roots[0].dx_coef, vec![(n3, -1.0), (n2, 1.0)]);
+        assert_eq!(roots[1].supply, vec![(n2, 0.0), (n3, 0.0)]);
+        assert_eq!(roots[1].dx_coef, vec![(n2, -1.0), (n3, 1.0)]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests of the LP substrate: simplex correctness via
 //! primal feasibility + weak duality witnesses, MILP vs exhaustive
-//! enumeration, concurrent-flow bounds vs the exact LP, and the
-//! sequential-routing certificate of the Decision-2 split.
+//! enumeration, concurrent-flow bounds vs the exact LP, the
+//! sequential-routing certificate of the Decision-2 split, and the
+//! split LP against the per-demand routability LP.
 
 use netrec_graph::{Graph, View};
 use netrec_lp::concurrent::{max_concurrent_flow, ConcurrentFlowConfig};
@@ -67,6 +68,19 @@ fn check_flow(
         }
     }
     Ok(())
+}
+
+/// A graph on `n` nodes from drawn `(u, v, capacity)` triples: loops are
+/// dropped, and thin draws become broken (zero-capacity) edges.
+fn small_graph(n: usize, edges: &[(usize, usize, f64)]) -> Graph {
+    let mut g = Graph::with_nodes(n);
+    for &(u, v, c) in edges {
+        if u % n != v % n {
+            let c = if c < 1.0 { 0.0 } else { c };
+            g.add_edge(g.node(u % n), g.node(v % n), c).unwrap();
+        }
+    }
+    g
 }
 
 proptest! {
@@ -228,14 +242,7 @@ proptest! {
         via_at in 0usize..64,
         cap_frac in 0.0f64..1.3,
     ) {
-        let mut g = Graph::with_nodes(n);
-        for &(u, v, c) in &edges {
-            if u % n != v % n {
-                // Thin draws become broken (zero-capacity) edges.
-                let c = if c < 1.0 { 0.0 } else { c };
-                g.add_edge(g.node(u % n), g.node(v % n), c).unwrap();
-            }
-        }
+        let g = small_graph(n, &edges);
         let demands: Vec<Demand> = pairs
             .iter()
             .map(|&(s, t, amount)| Demand::new(g.node(s % n), g.node(t % n), amount))
@@ -261,6 +268,84 @@ proptest! {
             );
             let dx = mcf::max_shared_split_with(&view, &demands, h, via, cap, engine).unwrap();
             prop_assert_eq!(dx, Some(bound));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The split LP, which routes every group of demands sharing an
+    /// endpoint as one single-source commodity, answers what the
+    /// per-demand routability LP confirms. Demands are drawn among 3–4
+    /// endpoints, so the groups hold demands written both ways round;
+    /// cases the sequential routing certifies are skipped, so every
+    /// accepted case solves the split LP. Both engines must return the
+    /// same `dx`, the split at `dx` must be routable and a slightly
+    /// larger split must not be, unless `dx` is the bound; `None` must
+    /// mean that the unsplit demands are already unroutable.
+    #[test]
+    fn split_lp_matches_per_demand_routability(
+        n in 3usize..7,
+        edges in proptest::collection::vec((0usize..64, 0usize..64, 0.0f64..10.0), 3..10),
+        pool in proptest::collection::vec(0usize..64, 3..5),
+        pairs in proptest::collection::vec((0usize..64, 0usize..64, 0.5f64..8.0), 1..5),
+        masked in 0usize..64,
+        pick in 0usize..64,
+        via_at in 0usize..64,
+        cap_frac in 0.0f64..1.3,
+    ) {
+        let g = small_graph(n, &edges);
+        let endpoint = |i: usize| g.node(pool[i % pool.len()] % n);
+        let demands: Vec<Demand> = pairs
+            .iter()
+            .map(|&(s, t, amount)| Demand::new(endpoint(s), endpoint(t), amount))
+            .collect();
+        // One node in four cases is masked out, as a damaged node is.
+        let mask: Vec<bool> = (0..n).map(|i| masked % (4 * n) != i).collect();
+        let view = g.view().with_node_mask(&mask);
+        let h = pick % demands.len();
+        let via = g.node(via_at % n);
+        let cap = demands[h].amount * cap_frac;
+        let bound = cap.min(demands[h].amount).max(0.0);
+        prop_assume!(
+            bound == 0.0
+                || mcf::route_sequentially(&view, &mcf::split_demands(&demands, h, via, bound))
+                    .is_none()
+        );
+        let case = format!("demands {demands:?}, h {h}, via {via:?}, cap {cap}, mask {mask:?}");
+        let revised = mcf::max_shared_split_with(&view, &demands, h, via, cap, LpEngine::Revised)
+            .unwrap();
+        let dense = mcf::max_shared_split_with(&view, &demands, h, via, cap, LpEngine::Dense)
+            .unwrap();
+        let routable = |list: &[Demand]| {
+            mcf::routability_with(&view, list, LpEngine::Dense).unwrap().is_some()
+        };
+        match (revised, dense) {
+            (None, None) => prop_assert!(
+                !routable(&demands),
+                "no split, yet the unsplit demands route: {}", case
+            ),
+            (Some(a), Some(b)) => {
+                prop_assert!(
+                    (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs())),
+                    "revised {} vs dense {}: {}", a, b, case
+                );
+                prop_assert!(
+                    routable(&mcf::split_demands(&demands, h, via, a)),
+                    "dx {} does not route: {}", a, case
+                );
+                if a < bound - 1e-6 {
+                    // Capped at the bound, past which `h` would turn
+                    // negative and drop out of the routability check.
+                    let beyond = (a + 1e-6 * (1.0 + bound)).min(bound);
+                    prop_assert!(
+                        !routable(&mcf::split_demands(&demands, h, via, beyond)),
+                        "dx {} is not the largest: {} routes too: {}", a, beyond, case
+                    );
+                }
+            }
+            (a, b) => prop_assert!(false, "revised {:?} vs dense {:?}: {}", a, b, case),
         }
     }
 }
