@@ -1,7 +1,7 @@
 //! LP engine benchmarks: sparse revised simplex vs the dense-tableau
 //! reference, cold and warm (DESIGN.md §11).
 //!
-//! Writes `BENCH_lp.json` with four pairings:
+//! Writes `BENCH_lp.json` with five pairings:
 //!
 //! * `routability_bell_dense` / `routability_bell_revised` — one
 //!   routability LP (system (2)) on the Bell-Canada instance's full view
@@ -23,7 +23,13 @@
 //!   answer, with one flow commodity per demand; the LP side is the
 //!   production [`mcf::max_shared_split`], whose LP gives every shared
 //!   endpoint one commodity. A split LP with one commodity per demand
-//!   would be slower than the per-demand side, not faster.
+//!   would be slower than the per-demand side, not faster;
+//! * `split_bell_cold_route` / `split_bell_warm_route` — the routing
+//!   that certifies a Bell split the LP is not needed for: cold is
+//!   [`mcf::route_sequentially`], one Dinic max flow per entry of the
+//!   split; warm is ISP's [`WarmRouter`] started from the routing of the
+//!   demands before the split, which keeps their flows and routes only
+//!   the two new pairs.
 //!
 //! The committed baseline is gated by `tests/perf_gate.rs` (ratios only,
 //! so machine speed cancels out).
@@ -31,7 +37,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use netrec_bench::{bell_instance, problem_for};
 use netrec_disrupt::DisruptionModel;
-use netrec_lp::mcf::{self, Demand, WarmRoutability};
+use netrec_lp::mcf::{self, Demand, WarmRoutability, WarmRouter};
 use netrec_lp::LpEngine;
 use netrec_topology::demand::DemandSpec;
 use std::hint::black_box;
@@ -153,6 +159,34 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             mcf::max_shared_split(black_box(&split_view), &split_demands, h, via, cap).unwrap()
         })
+    });
+
+    // A split the sequential routing certifies: demand 0 of the destroyed
+    // Bell instance moved whole through the lowest-id node where it fits.
+    // The warm router starts from the routing of the demands before the
+    // split, as ISP's starts from its precheck's.
+    let d0 = demands[0];
+    let at_via = bell
+        .graph()
+        .nodes()
+        .filter(|&v| v != d0.source && v != d0.target)
+        .map(|v| mcf::split_demands(&demands, 0, v, d0.amount))
+        .find(|list| mcf::route_sequentially(&bell_view, list).is_some())
+        .expect("some node certifies the split");
+    let mut warm = WarmRouter::default();
+    warm.keep(
+        &demands,
+        mcf::route_sequentially(&bell_view, &demands).expect("the demands route"),
+    );
+    assert!(
+        warm.route(&bell_view, &at_via).is_some(),
+        "the warm router must certify what the cold one does here"
+    );
+    g.bench_function("split_bell_cold_route", |b| {
+        b.iter(|| mcf::route_sequentially(black_box(&bell_view), &at_via).unwrap())
+    });
+    g.bench_function("split_bell_warm_route", |b| {
+        b.iter(|| warm.route(black_box(&bell_view), &at_via).unwrap())
     });
 
     g.finish();

@@ -21,14 +21,24 @@
 //!
 //! The loop ends when the demand set is empty or routable on the working
 //! subgraph; the accumulated repair list is the recovery plan.
+//!
+//! Before the loop, a feasibility precheck asks whether the fully
+//! repaired network carries the demand. A sequential routing that fits
+//! answers it without the oracle, and that routing seeds Decision 2's
+//! [`mcf::WarmRouter`]: each split's certificate is routed from the
+//! routing of the last certified split, re-routing only the pairs whose
+//! flows no longer fit, and cold only when that fails. Answers are those
+//! of the cold routing and the LP: a certified split answers its bound,
+//! which is the LP's optimum whenever any routing at the bound exists.
+//! The warm state lives for one solve.
 
-use crate::centrality::{demand_centrality, DynamicMetric};
+use crate::centrality::{demand_centrality, DemandCentrality, DynamicMetric};
 use crate::oracle::{EvalOracle, OracleSpec, OracleStats, DEFAULT_SIZE_THRESHOLD};
 use crate::solver::{ProgressEvent, SolveContext};
 use crate::state::{IspState, EPS};
 use crate::{RecoveryError, RecoveryPlan, RecoveryProblem};
-use netrec_graph::maxflow;
-use netrec_lp::mcf;
+use netrec_graph::{maxflow, View};
+use netrec_lp::mcf::{self, Demand, FlowAssignment, WarmRouter};
 use serde::{Deserialize, Serialize};
 
 /// Which edge-length metric drives centrality and path selection.
@@ -184,18 +194,29 @@ pub fn solve_isp_in(
         solver: "ISP",
         stage: "precheck",
     });
+    // A sequential routing that fits is a feasible flow, so it answers
+    // "routable" without the oracle; it then seeds Decision 2's router.
     let initial_demands = problem.demands();
     let full = problem.full_view();
-    if !oracle.is_routable(&full, &initial_demands)? {
-        // An exact backend already solved the LP — its "no" is final.
-        // An approximate backend may be over-conservative in the ε band,
-        // so re-check exactly before reporting infeasibility: a wrong
-        // error here is worse than one exact solve on this rare path.
-        let answered_exactly =
-            spec.uses_exact_split(full.enabled_edges().count(), initial_demands.len());
-        if answered_exactly || mcf::routability(&full, &initial_demands)?.is_none() {
-            return Err(RecoveryError::InfeasibleEvenIfAllRepaired);
+    let mut router = WarmRouter::default();
+    match mcf::route_sequentially(&full, &initial_demands) {
+        Some(flows) => {
+            debug_assert!(routes_exactly(&full, &initial_demands, &flows));
+            router.keep(&initial_demands, flows);
         }
+        None if !oracle.is_routable(&full, &initial_demands)? => {
+            // An exact backend already solved the LP — its "no" is
+            // final. An approximate backend may be over-conservative in
+            // the ε band, so re-check exactly before reporting
+            // infeasibility: a wrong error here is worse than one exact
+            // solve on this rare path.
+            let answered_exactly =
+                spec.uses_exact_split(full.enabled_edges().count(), initial_demands.len());
+            if answered_exactly || mcf::routability(&full, &initial_demands)?.is_none() {
+                return Err(RecoveryError::InfeasibleEvenIfAllRepaired);
+            }
+        }
+        None => {}
     }
 
     let mut state = IspState::new(problem);
@@ -242,7 +263,7 @@ pub fn solve_isp_in(
         if state.repair_direct_edges() {
             continue;
         }
-        if !split_step(&mut state, config, &spec, oracle.as_ref())? {
+        if !split_step(&mut state, &mut router, config, &spec, oracle.as_ref())? {
             // No productive split: force progress by repairing the most
             // central still-broken element, or give up conservatively.
             if !force_repair(&mut state, config) {
@@ -272,33 +293,24 @@ pub fn solve_isp_in(
     Ok((plan, stats))
 }
 
-/// One split action: choose `v_BC`, Decision 1, Decision 2, then split.
-/// Returns whether a split (or the implied repair of `v_BC`) happened.
-fn split_step(
-    state: &mut IspState<'_>,
-    config: &IspConfig,
-    spec: &OracleSpec,
-    oracle: &dyn EvalOracle,
-) -> Result<bool, RecoveryError> {
-    // Centrality on the full graph with residual capacities.
-    let node_cost: Vec<f64> = (0..state.problem.graph().node_count())
-        .map(|i| state.problem.node_cost(netrec_graph::NodeId::new(i)))
-        .collect();
-    let edge_cost: Vec<f64> = (0..state.problem.graph().edge_count())
-        .map(|i| state.problem.edge_cost(netrec_graph::EdgeId::new(i)))
-        .collect();
+/// Demand-based centrality on the full graph with residual capacities,
+/// under the configured metric — what both a split and a forced repair
+/// rank by.
+fn centrality(state: &IspState<'_>, config: &IspConfig) -> DemandCentrality {
     let full = state.full_view();
-    let metric = DynamicMetric {
-        edge_broken: &state.broken_edges,
-        node_broken: &state.broken_nodes,
-        edge_cost: &edge_cost,
-        node_cost: &node_cost,
-        residual: &state.residual,
-        length_const: config.length_const,
-        view: full,
-    };
-    let centrality = match config.metric {
-        MetricMode::Dynamic => demand_centrality(&full, &state.demands, |e| metric.length(e)),
+    match config.metric {
+        MetricMode::Dynamic => {
+            let metric = DynamicMetric {
+                edge_broken: &state.broken_edges,
+                node_broken: &state.broken_nodes,
+                edge_cost: &state.edge_cost,
+                node_cost: &state.node_cost,
+                residual: &state.residual,
+                length_const: config.length_const,
+                view: full,
+            };
+            demand_centrality(&full, &state.demands, |e| metric.length(e))
+        }
         MetricMode::Hops => demand_centrality(&full, &state.demands, |e| {
             if state.residual[e.index()] > 1e-12 {
                 1.0
@@ -306,8 +318,25 @@ fn split_step(
                 f64::INFINITY
             }
         }),
-    };
+    }
+}
+
+/// One split action: choose `v_BC`, Decision 1, Decision 2, then split.
+/// Returns whether a split (or the implied repair of `v_BC`) happened.
+fn split_step(
+    state: &mut IspState<'_>,
+    router: &mut WarmRouter,
+    config: &IspConfig,
+    spec: &OracleSpec,
+    oracle: &dyn EvalOracle,
+) -> Result<bool, RecoveryError> {
+    let centrality = centrality(state, config);
+    let full = state.full_view();
     let ranking = centrality.ranking();
+    // The exact answer when configured and small enough for the oracle
+    // to answer exactly, the halving search otherwise.
+    let exact = config.exact_split_lp
+        && spec.uses_exact_split(full.enabled_edges().count(), state.demands.len() + 2);
 
     for &vbc in ranking.iter().take(config.split_candidates.max(1)) {
         let contributors = centrality.contributors(vbc, &state.demands, &full);
@@ -341,7 +370,11 @@ fn split_step(
         let upper = state.demands[h]
             .amount
             .min(centrality.capacity_through(h, vbc, &full));
-        let dx = decide_split_amount(state, config, spec, oracle, h, vbc, upper)?;
+        let dx = if exact {
+            exact_split_amount(state, router, h, vbc, upper)?
+        } else {
+            halved_split_amount(state, oracle, h, vbc, upper)?
+        };
         if dx > EPS {
             state.repair_node(vbc);
             state.split(h, vbc, dx);
@@ -351,27 +384,50 @@ fn split_step(
     Ok(false)
 }
 
-/// Decision 2: exact answer when configured and small enough (a routing
-/// certificate at `upper`, else the split LP), halving search against the
-/// routability oracle otherwise.
-fn decide_split_amount(
+/// Decision 2, exactly: a routing certificate at `upper`, else the split
+/// LP.
+///
+/// The certificate is routed warm first, from the routing of the last
+/// certified split (or of the precheck); when that fails, cold, as
+/// [`mcf::max_shared_split`] routes it. A certified split at `cap`
+/// answers `cap` — the split LP's optimum whenever any routing at `cap`
+/// exists — and its routing becomes the router's next prior.
+fn exact_split_amount(
     state: &IspState<'_>,
-    config: &IspConfig,
-    spec: &OracleSpec,
+    router: &mut WarmRouter,
+    h: usize,
+    vbc: netrec_graph::NodeId,
+    upper: f64,
+) -> Result<f64, RecoveryError> {
+    let full = state.full_view();
+    let cap = upper.min(state.demands[h].amount).max(0.0);
+    if cap > 0.0 {
+        let at_cap = mcf::split_demands(&state.demands, h, vbc, cap);
+        let routed = router.route(&full, &at_cap).or_else(|| {
+            router
+                .is_warm()
+                .then(|| mcf::route_sequentially(&full, &at_cap))
+                .flatten()
+        });
+        if let Some(flows) = routed {
+            debug_assert!(routes_exactly(&full, &at_cap, &flows));
+            router.keep(&at_cap, flows);
+            return Ok(cap);
+        }
+    }
+    Ok(mcf::split_lp(&full, &state.demands, h, vbc, cap)?.unwrap_or(0.0))
+}
+
+/// Decision 2 by halving search against the (conservative) routability
+/// oracle.
+fn halved_split_amount(
+    state: &IspState<'_>,
     oracle: &dyn EvalOracle,
     h: usize,
     vbc: netrec_graph::NodeId,
     upper: f64,
 ) -> Result<f64, RecoveryError> {
     let full = state.full_view();
-    let enabled_edges = full.enabled_edges().count();
-    let use_lp =
-        config.exact_split_lp && spec.uses_exact_split(enabled_edges, state.demands.len() + 2);
-    if use_lp {
-        let dx = mcf::max_shared_split(&full, &state.demands, h, vbc, upper)?;
-        return Ok(dx.unwrap_or(0.0));
-    }
-    // Halving search with the (conservative) routability oracle.
     let mut dx = upper.min(state.demands[h].amount);
     for _ in 0..24 {
         if dx <= EPS {
@@ -389,32 +445,7 @@ fn decide_split_amount(
 /// Progress guard: repair the cheapest still-broken element lying on any
 /// current `P̂*` path. Returns whether anything was repaired.
 fn force_repair(state: &mut IspState<'_>, config: &IspConfig) -> bool {
-    let node_cost: Vec<f64> = (0..state.problem.graph().node_count())
-        .map(|i| state.problem.node_cost(netrec_graph::NodeId::new(i)))
-        .collect();
-    let edge_cost: Vec<f64> = (0..state.problem.graph().edge_count())
-        .map(|i| state.problem.edge_cost(netrec_graph::EdgeId::new(i)))
-        .collect();
-    let full = state.full_view();
-    let metric = DynamicMetric {
-        edge_broken: &state.broken_edges,
-        node_broken: &state.broken_nodes,
-        edge_cost: &edge_cost,
-        node_cost: &node_cost,
-        residual: &state.residual,
-        length_const: config.length_const,
-        view: full,
-    };
-    let centrality = match config.metric {
-        MetricMode::Dynamic => demand_centrality(&full, &state.demands, |e| metric.length(e)),
-        MetricMode::Hops => demand_centrality(&full, &state.demands, |e| {
-            if state.residual[e.index()] > 1e-12 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        }),
-    };
+    let centrality = centrality(state, config);
 
     let mut best_edge: Option<(netrec_graph::EdgeId, f64)> = None;
     let mut best_node: Option<(netrec_graph::NodeId, f64)> = None;
@@ -422,7 +453,7 @@ fn force_repair(state: &mut IspState<'_>, config: &IspConfig) -> bool {
         for (p, _) in paths {
             for &e in p.edges() {
                 if state.broken_edges[e.index()] {
-                    let c = edge_cost[e.index()];
+                    let c = state.edge_cost[e.index()];
                     if best_edge.is_none_or(|(_, bc)| c < bc) {
                         best_edge = Some((e, c));
                     }
@@ -430,7 +461,7 @@ fn force_repair(state: &mut IspState<'_>, config: &IspConfig) -> bool {
             }
             for v in p.nodes(state.problem.graph()) {
                 if state.broken_nodes[v.index()] {
-                    let c = node_cost[v.index()];
+                    let c = state.node_cost[v.index()];
                     if best_node.is_none_or(|(_, bc)| c < bc) {
                         best_node = Some((v, c));
                     }
@@ -457,6 +488,52 @@ fn force_repair(state: &mut IspState<'_>, config: &IspConfig) -> bool {
         }
         (None, None) => false,
     }
+}
+
+/// Whether `flows` is a feasible flow of exactly `demands` on `view`,
+/// at 1e-9: each demand's net outflow is its amount at the source,
+/// minus it at the target and zero elsewhere, and no edge carries more
+/// summed `|flow|` than its capacity (a masked one none). The debug
+/// check on every routing certificate ISP relies on.
+fn routes_exactly(view: &View<'_>, demands: &[Demand], flows: &FlowAssignment) -> bool {
+    const TOL: f64 = 1e-9;
+    let g = view.graph();
+    let conserves = |d: &Demand, f: &[f64]| {
+        let amount = if d.amount > 0.0 && d.source != d.target {
+            d.amount
+        } else {
+            0.0
+        };
+        let mut net = vec![0.0; g.node_count()];
+        for e in g.edges() {
+            let (u, v) = g.endpoints(e);
+            net[u.index()] += f[e.index()];
+            net[v.index()] -= f[e.index()];
+        }
+        g.nodes().all(|n| {
+            let want = if n == d.source {
+                amount
+            } else if n == d.target {
+                -amount
+            } else {
+                0.0
+            };
+            (net[n.index()] - want).abs() <= TOL
+        })
+    };
+    flows.flow.len() == demands.len()
+        && demands
+            .iter()
+            .zip(&flows.flow)
+            .all(|(d, f)| conserves(d, f))
+        && g.edges().all(|e| {
+            let cap = if view.edge_enabled(e) {
+                view.capacity(e)
+            } else {
+                0.0
+            };
+            flows.edge_load(e) <= cap + TOL
+        })
 }
 
 #[cfg(test)]

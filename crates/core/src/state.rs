@@ -25,6 +25,9 @@ pub(crate) struct IspState<'p> {
     /// Working masks (enabled = not currently broken).
     pub node_enabled: Vec<bool>,
     pub edge_enabled: Vec<bool>,
+    /// Repair costs per node and per edge (fixed for the solve).
+    pub node_cost: Vec<f64>,
+    pub edge_cost: Vec<f64>,
     /// The repair list `L⁽ⁿ⁾`.
     pub repaired_nodes: Vec<NodeId>,
     pub repaired_edges: Vec<EdgeId>,
@@ -39,14 +42,17 @@ impl<'p> IspState<'p> {
         let broken_edges = problem.broken_edge_mask().to_vec();
         let node_enabled: Vec<bool> = broken_nodes.iter().map(|&b| !b).collect();
         let edge_enabled: Vec<bool> = broken_edges.iter().map(|&b| !b).collect();
+        let graph = problem.graph();
         let mut state = IspState {
             problem,
-            residual: problem.graph().capacities(),
+            residual: graph.capacities(),
             demands: Vec::new(),
             broken_nodes,
             broken_edges,
             node_enabled,
             edge_enabled,
+            node_cost: graph.nodes().map(|n| problem.node_cost(n)).collect(),
+            edge_cost: graph.edges().map(|e| problem.edge_cost(e)).collect(),
             repaired_nodes: Vec::new(),
             repaired_edges: Vec::new(),
             prunes: 0,
@@ -184,10 +190,16 @@ impl<'p> IspState<'p> {
     /// Attempts one prune action (Theorem 3). Scans demands for a bubble
     /// carrying positive working flow; prunes the first found. Returns the
     /// pruned amount, or `None` if no demand is prunable.
-    pub fn prune_once(&mut self) -> Option<f64> {
+    ///
+    /// `component` labels the working graph's connected components
+    /// ([`traversal::connected_components`]): a demand whose endpoints
+    /// are disabled or in different components carries no working flow,
+    /// so it is skipped without a bubble search.
+    fn prune_once(&mut self, component: &[usize]) -> Option<f64> {
         for h in 0..self.demands.len() {
             let d = self.demands[h];
-            if d.amount <= EPS {
+            let at = component[d.source.index()];
+            if d.amount <= EPS || at == usize::MAX || at != component[d.target.index()] {
                 continue;
             }
             if let Some(k) = self.try_prune(h) {
@@ -202,9 +214,14 @@ impl<'p> IspState<'p> {
     }
 
     /// Runs prune actions to exhaustion. Returns how many were executed.
+    ///
+    /// Prunes consume residual capacity but leave the working masks as
+    /// they are, so one labelling of the working graph's components
+    /// serves the whole pass.
     pub fn prune_exhaustively(&mut self) -> usize {
+        let (component, _) = traversal::connected_components(&self.working_view());
         let mut count = 0;
-        while self.prune_once().is_some() {
+        while self.prune_once(&component).is_some() {
             count += 1;
             // Each prune removes ≥ EPS demand or saturates an edge; the
             // loop is finite, but guard against numerical stalls anyway.
@@ -215,13 +232,11 @@ impl<'p> IspState<'p> {
         count
     }
 
-    /// Tries to prune demand `h`; returns the pruned amount if any.
+    /// Tries to prune demand `h`, whose endpoints are enabled and
+    /// connected in the working graph; returns the pruned amount if any.
     fn try_prune(&mut self, h: usize) -> Option<f64> {
         let d = self.demands[h];
         let (s, t) = (d.source, d.target);
-        if !self.node_enabled[s.index()] || !self.node_enabled[t.index()] {
-            return None;
-        }
 
         // Barrier: endpoints of *other* demands (minus s, t themselves).
         let mut barrier = vec![false; self.problem.graph().node_count()];
@@ -320,6 +335,12 @@ mod tests {
     use super::*;
     use netrec_graph::Graph;
 
+    /// One prune action against a fresh labelling of the working graph.
+    fn prune_once(st: &mut IspState<'_>) -> Option<f64> {
+        let (component, _) = traversal::connected_components(&st.working_view());
+        st.prune_once(&component)
+    }
+
     /// 0-1-2 working line with spare capacity, demand 0→2.
     fn working_line() -> RecoveryProblem {
         let mut g = Graph::with_nodes(3);
@@ -335,7 +356,7 @@ mod tests {
     fn prune_clears_satisfiable_demand() {
         let p = working_line();
         let mut st = IspState::new(&p);
-        let pruned = st.prune_once().unwrap();
+        let pruned = prune_once(&mut st).unwrap();
         assert!((pruned - 5.0).abs() < 1e-9);
         st.sweep_demands();
         assert!(st.demands.is_empty());
@@ -354,10 +375,10 @@ mod tests {
             .unwrap();
         p.break_edge(e0, 1.0).unwrap();
         let mut st = IspState::new(&p);
-        assert!(st.prune_once().is_none());
+        assert!(prune_once(&mut st).is_none());
         // After repairing the edge the prune goes through.
         st.repair_edge(e0);
-        assert!(st.prune_once().is_some());
+        assert!(prune_once(&mut st).is_some());
     }
 
     #[test]
@@ -375,7 +396,7 @@ mod tests {
         let mut st = IspState::new(&p);
         // Demand 0 (0→2) has no bubble: its route's inner node is demand
         // 1's endpoint. Demand 1 (1→2) has the direct edge.
-        let k = st.prune_once().unwrap();
+        let k = prune_once(&mut st).unwrap();
         assert!((k - 5.0).abs() < 1e-9);
         assert_eq!(st.demands.len(), 1);
         assert_eq!(st.demands[0].source.index(), 0);

@@ -110,19 +110,26 @@ pub fn connected(view: &View<'_>, s: NodeId, t: NodeId) -> bool {
 ///
 /// Returns `(component_of, count)`: `component_of[v]` is the component index
 /// of node `v` (masked nodes get `usize::MAX`), and `count` is the number of
-/// components among enabled nodes.
+/// components among enabled nodes. Components are numbered in the order of
+/// their lowest-id enabled node.
+///
+/// One labelling pass: every enabled node and edge is visited once.
 pub fn connected_components(view: &View<'_>) -> (Vec<usize>, usize) {
-    let n = view.node_count();
-    let mut comp = vec![usize::MAX; n];
+    let mut comp = vec![usize::MAX; view.node_count()];
     let mut count = 0;
+    let mut stack = Vec::new();
     for v in view.enabled_nodes() {
         if comp[v.index()] != usize::MAX {
             continue;
         }
-        let tree = bfs(view, v);
-        for u in view.enabled_nodes() {
-            if tree.reached(u) && comp[u.index()] == usize::MAX {
-                comp[u.index()] = count;
+        comp[v.index()] = count;
+        stack.push(v);
+        while let Some(u) = stack.pop() {
+            for (_, w) in view.neighbors(u) {
+                if comp[w.index()] == usize::MAX {
+                    comp[w.index()] = count;
+                    stack.push(w);
+                }
             }
         }
         count += 1;

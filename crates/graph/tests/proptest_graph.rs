@@ -110,13 +110,29 @@ proptest! {
         }
     }
 
-    /// Connected components partition the enabled nodes, and nodes in the
-    /// same component are mutually reachable.
+    /// Connected components partition the enabled nodes, nodes in the
+    /// same component are mutually reachable, and components are numbered
+    /// in the order of their first enabled node.
     #[test]
-    fn components_partition(g in arb_graph(), mask_bits in proptest::collection::vec(any::<bool>(), 14)) {
+    fn components_partition(
+        g in arb_graph(),
+        mask_bits in proptest::collection::vec(any::<bool>(), 14),
+        edge_bits in proptest::collection::vec(any::<bool>(), 1..28),
+    ) {
         let mask: Vec<bool> = (0..g.node_count()).map(|i| mask_bits[i % mask_bits.len()]).collect();
-        let view = g.view().with_node_mask(&mask);
+        let edge_mask: Vec<bool> =
+            (0..g.edge_count()).map(|i| edge_bits[i % edge_bits.len()]).collect();
+        let view = g.view().with_node_mask(&mask).with_edge_mask(&edge_mask);
         let (comp, count) = traversal::connected_components(&view);
+        let mut next_new = 0;
+        for v in view.enabled_nodes() {
+            let c = comp[v.index()];
+            prop_assert!(c <= next_new, "{:?} opens component {} before {}", v, c, next_new);
+            if c == next_new {
+                next_new += 1;
+            }
+        }
+        prop_assert_eq!(next_new, count);
         for v in g.nodes() {
             if mask[v.index()] {
                 prop_assert!(comp[v.index()] < count);

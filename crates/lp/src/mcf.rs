@@ -8,8 +8,9 @@
 //! * [`max_shared_split`] — Decision 2 of ISP: the largest amount `dx` of
 //!   one demand that can be re-routed through a chosen node without
 //!   breaking routability of the whole instance. A feasible routing at
-//!   the upper bound ([`route_sequentially`]) certifies the answer without
-//!   an LP; the LP runs only when that routing fails, with one flow
+//!   the upper bound ([`route_sequentially`], or [`WarmRouter`] starting
+//!   from an earlier routing) certifies the answer without an LP; the LP
+//!   ([`split_lp`]) runs only when that routing fails, with one flow
 //!   commodity per shared endpoint rather than one per demand.
 //! * [`min_broken_flow`] — LP (8): route all demands while minimizing the
 //!   cost-weighted flow crossing broken edges (the multi-commodity
@@ -345,34 +346,186 @@ pub fn routability_with(
 /// `flow[h]` of the result belongs to `demands[h]`; zero-amount and
 /// degenerate (`source == target`) demands carry no flow, as in
 /// [`routability`].
+///
+/// This is [`WarmRouter::route`] with an empty prior.
 pub fn route_sequentially(view: &View<'_>, demands: &[Demand]) -> Option<FlowAssignment> {
-    let m = view.edge_count();
-    let mut residual: Vec<f64> = (0..m)
-        .map(|e| view.capacity(EdgeId::new(e)).max(0.0))
-        .collect();
-    let mut flow = Vec::with_capacity(demands.len());
-    for d in demands {
-        if d.amount <= 0.0 || d.source == d.target {
-            flow.push(vec![0.0; m]);
-            continue;
+    WarmRouter::default().route(view, demands)
+}
+
+/// [`route_sequentially`] that starts from an earlier feasible routing,
+/// its *prior*, instead of from nothing: ISP's Decision-2 router, which
+/// keeps the routing of its last certified split (or of its feasibility
+/// precheck) and re-routes only what changed since.
+///
+/// The prior holds one net flow per unordered endpoint pair, with the
+/// amount that flow carries ([`WarmRouter::keep`] sums the flows of a
+/// routing per pair). [`WarmRouter::route`] then
+///
+/// 1. takes, in list order, each demand's share of its pair's prior
+///    flow while the pair's prior amount lasts, scaled down to the
+///    demand's amount;
+/// 2. drops every taken flow that crosses an edge whose summed `|flow|`
+///    exceeds the edge's capacity in the view (a masked edge has none);
+/// 3. routes the remaining demands in list order as
+///    [`route_sequentially`] does, each by a Dinic max flow on the
+///    capacity the kept flows and earlier demands left.
+///
+/// The kept flows conserve their demands' amounts and fit the
+/// capacities, so a `Some` is as much a feasible multicommodity flow
+/// as [`route_sequentially`]'s; with an empty prior the two are the
+/// same routine.
+#[derive(Debug, Clone, Default)]
+pub struct WarmRouter {
+    prior: Vec<PairFlow>,
+}
+
+/// One endpoint pair's net flow in a [`WarmRouter`]'s prior, positive
+/// from `source` towards `target`, carrying `amount`.
+#[derive(Debug, Clone)]
+struct PairFlow {
+    source: NodeId,
+    target: NodeId,
+    amount: f64,
+    flow: Vec<f64>,
+}
+
+impl PairFlow {
+    /// `Some(1.0)` when `d` runs from `source` to `target`, `Some(-1.0)`
+    /// when it runs the other way, `None` when `d` joins another pair.
+    fn orientation(&self, d: &Demand) -> Option<f64> {
+        if (d.source, d.target) == (self.source, self.target) {
+            Some(1.0)
+        } else if (d.source, d.target) == (self.target, self.source) {
+            Some(-1.0)
+        } else {
+            None
         }
-        let routed = maxflow::max_flow(&view.with_capacities(&residual), d.source, d.target);
-        // Incomparable (NaN) values reject too.
-        if matches!(
-            routed.value.partial_cmp(&d.amount),
-            None | Some(Ordering::Less)
-        ) {
-            return None;
-        }
-        let scale = d.amount / routed.value;
-        let mut f = routed.edge_flow;
-        for (x, r) in f.iter_mut().zip(residual.iter_mut()) {
-            *x *= scale;
-            *r = (*r - x.abs()).max(0.0);
-        }
-        flow.push(f);
     }
-    Some(FlowAssignment { flow })
+}
+
+impl WarmRouter {
+    /// Whether the router has a prior to start from.
+    pub fn is_warm(&self) -> bool {
+        !self.prior.is_empty()
+    }
+
+    /// Replaces the prior by `flows`, a feasible routing of `demands`
+    /// (`flows.flow[h]` routes `demands[h]`), summed per unordered
+    /// endpoint pair. Summing never raises an edge's `|flow|`.
+    pub fn keep(&mut self, demands: &[Demand], flows: FlowAssignment) {
+        self.prior.clear();
+        for (d, f) in demands.iter().zip(flows.flow) {
+            if d.amount <= 0.0 || d.source == d.target {
+                continue;
+            }
+            match self
+                .prior
+                .iter_mut()
+                .find_map(|p| p.orientation(d).map(|sign| (p, sign)))
+            {
+                Some((p, sign)) => {
+                    p.amount += d.amount;
+                    for (x, y) in p.flow.iter_mut().zip(&f) {
+                        *x += sign * y;
+                    }
+                }
+                None => self.prior.push(PairFlow {
+                    source: d.source,
+                    target: d.target,
+                    amount: d.amount,
+                    flow: f,
+                }),
+            }
+        }
+    }
+
+    /// Routes `demands` on `view` from the prior (see [`WarmRouter`]).
+    /// The prior is left as it is; [`WarmRouter::keep`] a routing to
+    /// start the next call from it.
+    pub fn route(&self, view: &View<'_>, demands: &[Demand]) -> Option<FlowAssignment> {
+        let m = view.edge_count();
+        let mut residual: Vec<f64> = (0..m)
+            .map(|e| view.capacity(EdgeId::new(e)).max(0.0))
+            .collect();
+        let mut kept = self.take_prior(demands);
+        if kept.iter().any(Option::is_some) {
+            // Step 2: what is left after dropping every flow that crosses
+            // an overloaded or masked edge fits, since dropping only
+            // lowers loads.
+            let mut load = vec![0.0; m];
+            for f in kept.iter().flatten() {
+                for (l, x) in load.iter_mut().zip(f) {
+                    *l += x.abs();
+                }
+            }
+            let fits = |f: &Vec<f64>| {
+                f.iter().enumerate().all(|(e, &x)| {
+                    x == 0.0 || (load[e] <= residual[e] && view.edge_enabled(EdgeId::new(e)))
+                })
+            };
+            for slot in kept.iter_mut() {
+                slot.take_if(|f| !fits(f));
+            }
+            for f in kept.iter().flatten() {
+                for (r, x) in residual.iter_mut().zip(f) {
+                    *r = (*r - x.abs()).max(0.0);
+                }
+            }
+        }
+        let mut flow = Vec::with_capacity(demands.len());
+        for (d, kept) in demands.iter().zip(kept) {
+            if let Some(f) = kept {
+                flow.push(f);
+                continue;
+            }
+            if d.amount <= 0.0 || d.source == d.target {
+                flow.push(vec![0.0; m]);
+                continue;
+            }
+            let routed = maxflow::max_flow(&view.with_capacities(&residual), d.source, d.target);
+            // Incomparable (NaN) values reject too.
+            if matches!(
+                routed.value.partial_cmp(&d.amount),
+                None | Some(Ordering::Less)
+            ) {
+                return None;
+            }
+            let scale = d.amount / routed.value;
+            let mut f = routed.edge_flow;
+            for (x, r) in f.iter_mut().zip(residual.iter_mut()) {
+                *x *= scale;
+                *r = (*r - x.abs()).max(0.0);
+            }
+            flow.push(f);
+        }
+        Some(FlowAssignment { flow })
+    }
+
+    /// Step 1 of [`WarmRouter::route`]: each routable demand's share of
+    /// its pair's prior flow, in list order, while the prior amount
+    /// lasts.
+    fn take_prior(&self, demands: &[Demand]) -> Vec<Option<Vec<f64>>> {
+        let mut left: Vec<f64> = self.prior.iter().map(|p| p.amount).collect();
+        demands
+            .iter()
+            .map(|d| {
+                if d.amount <= 0.0 || d.source == d.target {
+                    return None;
+                }
+                let (k, sign) = self
+                    .prior
+                    .iter()
+                    .enumerate()
+                    .find_map(|(k, p)| p.orientation(d).map(|sign| (k, sign)))?;
+                if d.amount > left[k] {
+                    return None;
+                }
+                left[k] -= d.amount;
+                let scale = sign * d.amount / self.prior[k].amount;
+                Some(self.prior[k].flow.iter().map(|x| x * scale).collect())
+            })
+            .collect()
+    }
 }
 
 /// The demand list of a split by `dx`: demand `h` reduced to `d_h − dx`,
@@ -449,12 +602,36 @@ pub fn max_shared_split_with(
     if cap > 0.0 && route_sequentially(view, &split_demands(demands, h, via, cap)).is_some() {
         return Ok(Some(cap));
     }
-    split_lp(view, demands, h, via, cap, engine)
+    split_lp_with(view, demands, h, via, cap, engine)
+}
+
+/// The Decision-2 LP alone: [`max_shared_split`] without the routing
+/// certificate, for a caller that has already tried its own (ISP routes
+/// the split with its [`WarmRouter`] first). `cap` is clamped to
+/// `[0, d_h]` as there.
+///
+/// # Errors
+///
+/// Propagates simplex numerical failures.
+///
+/// # Panics
+///
+/// Panics if `h` is out of range for `demands`.
+pub fn split_lp(
+    view: &View<'_>,
+    demands: &[Demand],
+    h: usize,
+    via: NodeId,
+    cap: f64,
+) -> Result<Option<f64>, LpError> {
+    assert!(h < demands.len(), "demand index out of range");
+    let cap = cap.min(demands[h].amount).max(0.0);
+    split_lp_with(view, demands, h, via, cap, LpEngine::Revised)
 }
 
 /// The Decision-2 LP itself: maximize `dx ∈ [0, cap]` subject to the
 /// split instance being routable (`cap` already clamped to `[0, d_h]`).
-fn split_lp(
+fn split_lp_with(
     view: &View<'_>,
     demands: &[Demand],
     h: usize,
@@ -1212,7 +1389,7 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!((dx - 4.0).abs() < 1e-6);
-        let lp = split_lp(&g.view(), &demands, 0, g.node(2), 8.0, LpEngine::Revised).unwrap();
+        let lp = split_lp_with(&g.view(), &demands, 0, g.node(2), 8.0, LpEngine::Revised).unwrap();
         assert_eq!(Some(dx), lp);
     }
 
@@ -1236,9 +1413,80 @@ mod tests {
                 .unwrap()
                 .unwrap();
             assert!((dx - 7.0).abs() < 1e-6, "{engine:?}: {dx}");
-            let lp = split_lp(&g.view(), &demands, 0, g.node(1), 7.0, engine).unwrap();
+            let lp = split_lp_with(&g.view(), &demands, 0, g.node(1), 7.0, engine).unwrap();
             assert_eq!(Some(dx), lp, "{engine:?}");
         }
+    }
+
+    #[test]
+    fn warm_router_keeps_a_prior_that_list_order_routing_misses() {
+        // The triangle above: with a prior that sends s→via on s–via
+        // alone and via→t as 6 on via–t plus 1 on via–s–t (written t→via
+        // to exercise the orientation), the warm router certifies the
+        // split the cold routing cannot.
+        let mut g = Graph::with_nodes(3);
+        g.add_edge(g.node(0), g.node(1), 10.0).unwrap();
+        g.add_edge(g.node(0), g.node(2), 4.0).unwrap();
+        g.add_edge(g.node(1), g.node(2), 6.0).unwrap();
+        let demands = [Demand::new(g.node(0), g.node(2), 7.0)];
+        let at_cap = split_demands(&demands, 0, g.node(1), 7.0);
+        let prior_demands = [
+            Demand::new(g.node(0), g.node(1), 7.0),
+            Demand::new(g.node(2), g.node(1), 7.0),
+        ];
+        let prior_flows = FlowAssignment {
+            flow: vec![vec![7.0, 0.0, 0.0], vec![1.0, -1.0, -6.0]],
+        };
+        let mut router = WarmRouter::default();
+        router.keep(&prior_demands, prior_flows);
+        let routed = router.route(&g.view(), &at_cap).expect("the prior fits");
+        assert_eq!(
+            routed.flow[0],
+            vec![0.0; 3],
+            "h carries nothing at dx = d_h"
+        );
+        assert_eq!(routed.flow[1], vec![7.0, 0.0, 0.0]);
+        assert_eq!(routed.flow[2], vec![-1.0, 1.0, 6.0]);
+        assert!(route_sequentially(&g.view(), &at_cap).is_none());
+    }
+
+    #[test]
+    fn warm_router_scales_shares_and_reroutes_what_no_longer_fits() {
+        // Path 0–1–2 (caps 10, 10) plus a bypass 0–2 (cap 5).
+        let mut g = Graph::with_nodes(3);
+        g.add_edge(g.node(0), g.node(1), 10.0).unwrap();
+        g.add_edge(g.node(1), g.node(2), 10.0).unwrap();
+        g.add_edge(g.node(0), g.node(2), 5.0).unwrap();
+        let pair = Demand::new(g.node(0), g.node(2), 8.0);
+        let mut router = WarmRouter::default();
+        router.keep(
+            &[pair],
+            FlowAssignment {
+                flow: vec![vec![8.0, 8.0, 0.0]],
+            },
+        );
+        // Two entries of the pair share its 8 units: each gets its part.
+        let shares = [
+            Demand::new(g.node(0), g.node(2), 2.0),
+            Demand::new(g.node(2), g.node(0), 6.0),
+        ];
+        let routed = router.route(&g.view(), &shares).unwrap();
+        assert_eq!(routed.flow[0], vec![2.0, 2.0, 0.0]);
+        assert_eq!(routed.flow[1], vec![-6.0, -6.0, 0.0]);
+        // Past the prior's amount, the rest routes fresh: 1 more unit.
+        let more = [pair, Demand::new(g.node(0), g.node(2), 1.0)];
+        let routed = router.route(&g.view(), &more).unwrap();
+        assert_eq!(routed.flow[0], vec![8.0, 8.0, 0.0]);
+        assert!((routed.flow[1].iter().map(|x| x.abs()).sum::<f64>()) > 0.0);
+        // With 0–1 down to 6, the kept flow no longer fits and is
+        // dropped; the pair re-routes as the cold routing would.
+        let caps = [6.0, 10.0, 5.0];
+        let view = g.view().with_capacities(&caps);
+        let routed = router.route(&view, &[pair]).unwrap();
+        assert_eq!(
+            routed.flow,
+            route_sequentially(&view, &[pair]).unwrap().flow
+        );
     }
 
     #[test]

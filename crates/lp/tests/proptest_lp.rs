@@ -1,8 +1,8 @@
 //! Property-based tests of the LP substrate: simplex correctness via
 //! primal feasibility + weak duality witnesses, MILP vs exhaustive
 //! enumeration, concurrent-flow bounds vs the exact LP, the
-//! sequential-routing certificate of the Decision-2 split, and the
-//! split LP against the per-demand routability LP.
+//! sequential-routing certificate of the Decision-2 split, cold and
+//! warm, and the split LP against the per-demand routability LP.
 
 use netrec_graph::{Graph, View};
 use netrec_lp::concurrent::{max_concurrent_flow, ConcurrentFlowConfig};
@@ -268,6 +268,70 @@ proptest! {
             );
             let dx = mcf::max_shared_split_with(&view, &demands, h, via, cap, engine).unwrap();
             prop_assert_eq!(dx, Some(bound));
+        }
+    }
+
+    /// The warm router, started from the routing of the demands before
+    /// a split on the capacities before a prune, routes the split after
+    /// it: with an empty prior it returns exactly what the sequential
+    /// routing returns, every routing it returns is a feasible flow of
+    /// exactly the split list, and the split LP answers the bound of
+    /// every split it certifies.
+    #[test]
+    fn warm_router_certifies_the_split(
+        n in 3usize..7,
+        edges in proptest::collection::vec((0usize..64, 0usize..64, 0.0f64..10.0), 3..10),
+        pairs in proptest::collection::vec((0usize..64, 0usize..64, 0.5f64..8.0), 1..4),
+        left in proptest::collection::vec(0.2f64..1.2, 4),
+        pruned in proptest::collection::vec(0.5f64..1.0, 10),
+        masked in 0usize..64,
+        pick in 0usize..64,
+        via_at in 0usize..64,
+        cap_frac in 0.0f64..1.3,
+    ) {
+        let g = small_graph(n, &edges);
+        let before: Vec<Demand> = pairs
+            .iter()
+            .map(|&(s, t, amount)| Demand::new(g.node(s % n), g.node(t % n), amount))
+            .collect();
+        // Prunes shrink amounts and capacities; a factor above 1 makes a
+        // pair outgrow its prior flow.
+        let demands: Vec<Demand> = before
+            .iter()
+            .zip(&left)
+            .map(|(d, f)| Demand::new(d.source, d.target, d.amount * f))
+            .collect();
+        let caps: Vec<f64> = g
+            .edges()
+            .map(|e| g.capacity(e) * pruned[e.index() % pruned.len()])
+            .collect();
+        let mask: Vec<bool> = (0..n).map(|i| masked % (4 * n) != i).collect();
+        let view = g.view().with_node_mask(&mask).with_capacities(&caps);
+        let h = pick % demands.len();
+        let via = g.node(via_at % n);
+        let cap = demands[h].amount * cap_frac;
+        let bound = cap.min(demands[h].amount).max(0.0);
+        let at_bound = mcf::split_demands(&demands, h, via, bound);
+
+        let cold = mcf::route_sequentially(&view, &at_bound).map(|f| f.flow);
+        let empty = mcf::WarmRouter::default().route(&view, &at_bound).map(|f| f.flow);
+        prop_assert_eq!(empty, cold);
+
+        let mut router = mcf::WarmRouter::default();
+        if let Some(prior) = mcf::route_sequentially(&g.view(), &before) {
+            router.keep(&before, prior);
+        }
+        if let Some(flows) = router.route(&view, &at_bound) {
+            if let Err(why) = check_flow(&view, &at_bound, &flows, 1e-9) {
+                prop_assert!(false, "warm routing is infeasible: {}", why);
+            }
+            if bound > 0.0 {
+                let dx = mcf::split_lp(&view, &demands, h, via, cap).unwrap();
+                prop_assert!(
+                    dx.is_some_and(|dx| (dx - bound).abs() <= 1e-9),
+                    "split LP answers {:?} for a split certified at {}", dx, bound
+                );
+            }
         }
     }
 }

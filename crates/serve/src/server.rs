@@ -38,7 +38,7 @@ use crate::engine::Engine;
 use crate::protocol::{Op, Request, Response};
 use crate::wal::Wal;
 use netrec_json::Json;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{BufRead, Read, Write};
 use std::net::TcpListener;
 use std::panic::AssertUnwindSafe;
@@ -111,8 +111,10 @@ struct SchedState {
     queued: HashSet<String>,
     /// Sessions a worker is currently executing.
     active: HashSet<String>,
-    /// Jobs admitted (reserved) and not yet completed.
-    in_flight: usize,
+    /// Read-order indices of the jobs admitted (reserved) and not yet
+    /// completed: a `shutdown` waits until none below its own is left
+    /// ([`Scheduler::await_earlier`]).
+    in_flight: BTreeSet<u64>,
     /// EWMA of per-job service time in microseconds (retry hints).
     ewma_us: f64,
     /// Set by [`Server::finish`]: workers exit once drained.
@@ -129,7 +131,7 @@ impl Default for SchedState {
             run_queue: VecDeque::new(),
             queued: HashSet::new(),
             active: HashSet::new(),
-            in_flight: 0,
+            in_flight: BTreeSet::new(),
             // Seed estimate: a cheap warm query. The EWMA converges to
             // the real mix within a handful of completions.
             ewma_us: 1_000.0,
@@ -173,11 +175,11 @@ impl Scheduler {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Phase one of admission: claims an in-flight slot, or rejects
-    /// when the queue bounds are exceeded. `force` (shutdown) bypasses
-    /// both the bounds and a checkpoint pause: the drain path must stay
-    /// reachable under any overload and cannot deadlock behind a
-    /// quiesce. Admission is split from [`Scheduler::enqueue`] so the
+    /// Phase one of admission: claims an in-flight slot for the request
+    /// read as `index`, or rejects when the queue bounds are exceeded.
+    /// `force` (shutdown) bypasses both the bounds and a checkpoint
+    /// pause: the drain path must stay reachable under any overload and
+    /// cannot deadlock behind a quiesce. Admission is split from [`Scheduler::enqueue`] so the
     /// write-ahead append can sit between them — a request's log record
     /// exists before any worker can see the job, and a checkpoint's
     /// drain barrier ([`Scheduler::pause_and_drain`]) cannot catch a
@@ -187,7 +189,7 @@ impl Scheduler {
     ///
     /// A `retry_after_ms` hint — the estimated time for the pool to
     /// drain the current backlog.
-    fn reserve(&self, session: &str, force: bool) -> Result<(), u64> {
+    fn reserve(&self, session: &str, index: u64, force: bool) -> Result<(), u64> {
         let mut st = self.lock();
         while st.paused && !force {
             st = self
@@ -197,21 +199,22 @@ impl Scheduler {
         }
         if !force {
             let session_pending = st.per_session.get(session).map_or(0, VecDeque::len);
-            if st.in_flight >= self.max_queue || session_pending >= self.max_session_queue {
-                let backlog = st.in_flight.max(1) as f64;
+            if st.in_flight.len() >= self.max_queue || session_pending >= self.max_session_queue {
+                let backlog = st.in_flight.len().max(1) as f64;
                 let retry_ms = (backlog * st.ewma_us / self.workers as f64 / 1_000.0).ceil() as u64;
                 return Err(retry_ms.clamp(1, 30_000));
             }
         }
-        st.in_flight += 1;
+        st.in_flight.insert(index);
         Ok(())
     }
 
-    /// Releases a reservation whose write-ahead append failed: the
-    /// request was never logged, so it must never run.
-    fn unreserve(&self) {
+    /// Releases the reservation of request `index` whose write-ahead
+    /// append failed: the request was never logged, so it must never
+    /// run.
+    fn unreserve(&self, index: u64) {
         let mut st = self.lock();
-        st.in_flight -= 1;
+        st.in_flight.remove(&index);
         self.cv.notify_all();
         self.admit_cv.notify_all();
     }
@@ -236,7 +239,23 @@ impl Scheduler {
     fn pause_and_drain(&self) {
         let mut st = self.lock();
         st.paused = true;
-        while st.in_flight > 0 {
+        while !st.in_flight.is_empty() {
+            st = self
+                .admit_cv
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Blocks until every request admitted with a read-order index
+    /// below `index` has completed. `shutdown` waits here before it is
+    /// admitted, so its reply counts the sessions that every request
+    /// read before it opened, at any worker count. Unlike
+    /// [`Scheduler::pause_and_drain`] it blocks no other reader: later
+    /// requests keep being admitted and cannot hold it back.
+    fn await_earlier(&self, index: u64) {
+        let mut st = self.lock();
+        while st.in_flight.range(..index).next().is_some() {
             st = self
                 .admit_cv
                 .wait(st)
@@ -253,7 +272,7 @@ impl Scheduler {
     /// Jobs admitted and not yet completed (the `health` op's queue
     /// depth).
     fn depth(&self) -> usize {
-        self.lock().in_flight
+        self.lock().in_flight.len()
     }
 
     /// Blocks for the next runnable job; `None` means drained-and-stopping.
@@ -284,15 +303,16 @@ impl Scheduler {
                     }
                 }
             }
-            if st.stopping && st.in_flight == 0 {
+            if st.stopping && st.in_flight.is_empty() {
                 return None;
             }
             st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Marks a job finished; re-queues the session if it has more work.
-    fn complete(&self, session: String, service_time: Duration) {
+    /// Marks job `index` finished; re-queues the session if it has more
+    /// work.
+    fn complete(&self, session: String, index: u64, service_time: Duration) {
         let mut st = self.lock();
         st.active.remove(&session);
         let more = st.per_session.get(&session).is_some_and(|q| !q.is_empty());
@@ -303,7 +323,7 @@ impl Scheduler {
         } else {
             st.per_session.remove(&session);
         }
-        st.in_flight -= 1;
+        st.in_flight.remove(&index);
         st.ewma_us = 0.8 * st.ewma_us + 0.2 * service_time.as_micros() as f64;
         self.cv.notify_all();
         self.admit_cv.notify_all();
@@ -580,13 +600,15 @@ impl Drop for RespawnGuard {
 struct CompleteGuard<'a> {
     sched: &'a Scheduler,
     session: Option<String>,
+    index: u64,
     started: Instant,
 }
 
 impl Drop for CompleteGuard<'_> {
     fn drop(&mut self) {
         if let Some(session) = self.session.take() {
-            self.sched.complete(session, self.started.elapsed());
+            self.sched
+                .complete(session, self.index, self.started.elapsed());
         }
     }
 }
@@ -601,6 +623,7 @@ fn worker_loop(shared: Arc<Shared>, handles: Arc<Mutex<Vec<JoinHandle<()>>>>) {
         let completer = CompleteGuard {
             sched: &shared.sched,
             session: Some(session),
+            index: job.index,
             started,
         };
         // Panic isolation: a panicking dispatch unwinds through the
@@ -854,7 +877,14 @@ fn read_one_line(shared: &Arc<Shared>, conn: &Arc<ConnOut>, slot: u64, line: &st
                     checkpoint_now(shared, wal);
                 }
             }
-            if let Err(retry_after_ms) = shared.sched.reserve(req.session_name(), is_shutdown) {
+            // Shutdown answers after everything read before it, so its
+            // `sessions` count does not depend on the worker count.
+            if is_shutdown {
+                shared.sched.await_earlier(index);
+            }
+            if let Err(retry_after_ms) =
+                shared.sched.reserve(req.session_name(), index, is_shutdown)
+            {
                 let response = Response::error_with(
                     Some(&req.id),
                     "overloaded",
@@ -886,7 +916,7 @@ fn read_one_line(shared: &Arc<Shared>, conn: &Arc<ConnOut>, slot: u64, line: &st
                         // Unlogged means unexecuted: release the slot
                         // and refuse, or the reply would acknowledge an
                         // event recovery cannot reproduce.
-                        shared.sched.unreserve();
+                        shared.sched.unreserve(index);
                         let response = Response::error(
                             Some(&req.id),
                             "io_error",
@@ -1124,6 +1154,27 @@ not json at all
         assert_eq!(
             outputs[0], outputs[1],
             "stdout is byte-identical regardless of pool size"
+        );
+    }
+
+    #[test]
+    fn shutdown_counts_the_sessions_of_every_earlier_request() {
+        // The query opens session s1 after a 300 ms injected delay. With
+        // two workers the shutdown used to run beside it and report the
+        // session table before s1 existed.
+        const RACE: &str = r#"{"v":1,"id":"q","op":"query_routability","session":"s1"}
+{"v":1,"id":"z","op":"shutdown"}
+"#;
+        let outputs: Vec<String> = [1, 2]
+            .into_iter()
+            .map(|workers| run_stream(faulty_engine("latency@0:300"), workers, RACE).0)
+            .collect();
+        assert_eq!(outputs[0], outputs[1], "replies differ by worker count");
+        let shutdown = Response::parse(outputs[1].lines().nth(1).unwrap()).unwrap();
+        assert!(
+            shutdown.to_line().contains(r#""sessions":1"#),
+            "{}",
+            shutdown.to_line()
         );
     }
 
