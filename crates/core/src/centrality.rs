@@ -126,12 +126,24 @@ impl DemandCentrality {
 /// Computes the demand-based centrality estimate ĉd over `view` (the full
 /// supply graph with residual capacities) for the current demand set.
 ///
-/// `metric` is the (dynamic) edge-length function.
+/// `metric` is the (dynamic) edge-length function. The state it reads
+/// does not change during the call, so it is evaluated once per enabled
+/// edge into a length table that every demand's searches share.
 pub fn demand_centrality<F: Fn(EdgeId) -> f64>(
     view: &View<'_>,
     demands: &[Demand],
     metric: F,
 ) -> DemandCentrality {
+    let lengths: Vec<f64> = (0..view.edge_count())
+        .map(EdgeId::new)
+        .map(|e| {
+            if view.edge_enabled(e) {
+                metric(e)
+            } else {
+                f64::INFINITY
+            }
+        })
+        .collect();
     let mut scores = vec![0.0; view.node_count()];
     let mut demand_paths = Vec::with_capacity(demands.len());
     for d in demands {
@@ -139,7 +151,9 @@ pub fn demand_centrality<F: Fn(EdgeId) -> f64>(
             demand_paths.push(Vec::new());
             continue;
         }
-        let paths = dijkstra::capacity_shortest_paths(view, d.source, d.target, d.amount, &metric);
+        let paths = dijkstra::capacity_shortest_paths(view, d.source, d.target, d.amount, |e| {
+            lengths[e.index()]
+        });
         let total_cap: f64 = paths.iter().map(|(_, c)| c).sum();
         if total_cap > 1e-12 {
             for (p, c) in &paths {
@@ -267,6 +281,28 @@ mod tests {
         assert!((metric.length(EdgeId::new(2)) - 0.25).abs() < 1e-12);
         // e3: saturated.
         assert!(metric.length(EdgeId::new(3)).is_infinite());
+    }
+
+    #[test]
+    fn metric_is_priced_once_per_edge() {
+        let g = square();
+        let demands = [
+            Demand::new(g.node(0), g.node(3), 12.0),
+            Demand::new(g.node(1), g.node(2), 3.0),
+            Demand::new(g.node(3), g.node(1), 5.0),
+        ];
+        let calls = std::cell::Cell::new(0);
+        let c = demand_centrality(&g.view(), &demands, |e| {
+            calls.set(calls.get() + 1);
+            1.0 + e.index() as f64
+        });
+        assert!(c.demand_paths.iter().all(|paths| !paths.is_empty()));
+        assert!(
+            calls.get() <= g.edge_count(),
+            "{} metric calls on {} edges",
+            calls.get(),
+            g.edge_count()
+        );
     }
 
     #[test]

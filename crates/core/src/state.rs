@@ -141,6 +141,10 @@ impl<'p> IspState<'p> {
     /// no working path can satisfy, if a still-broken supply edge directly
     /// connects `s` and `t`, repair it (with its endpoints). Returns
     /// whether any repair was made.
+    ///
+    /// The broken edge is looked up first: the max flow behind "no
+    /// working path can satisfy" runs only for demands the rule can
+    /// repair.
     pub fn repair_direct_edges(&mut self) -> bool {
         let mut to_repair: Vec<EdgeId> = Vec::new();
         {
@@ -149,17 +153,20 @@ impl<'p> IspState<'p> {
                 if d.amount <= EPS {
                     continue;
                 }
+                let Some(e) = self
+                    .problem
+                    .graph()
+                    .edges_between(d.source, d.target)
+                    .into_iter()
+                    .find(|e| self.broken_edges[e.index()])
+                else {
+                    continue;
+                };
                 let satisfiable = view.node_enabled(d.source)
                     && view.node_enabled(d.target)
                     && maxflow::max_flow_value(&view, d.source, d.target) >= d.amount - EPS;
-                if satisfiable {
-                    continue;
-                }
-                for e in self.problem.graph().edges_between(d.source, d.target) {
-                    if self.broken_edges[e.index()] {
-                        to_repair.push(e);
-                        break;
-                    }
+                if !satisfiable {
+                    to_repair.push(e);
                 }
             }
         }

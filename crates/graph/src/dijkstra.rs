@@ -5,8 +5,17 @@
 //! `l(e) = (const + kᵉ + (kᵛᵢ + kᵛⱼ)/2) / c(e)` (paper §IV-D), which changes
 //! every iteration. The functions here therefore take the metric as a
 //! closure instead of baking lengths into the graph.
+//!
+//! [`dijkstra`] grows the whole shortest-path tree. [`shortest_path`] and
+//! [`capacity_shortest_paths`] want one `s`–`t` path each, so the same
+//! loop stops as soon as the target is settled: up to that pop both runs
+//! make the same relaxations, and a settled node's distance and
+//! predecessor never change again, so the path is the edge list
+//! `dijkstra(..).path_to(t)` returns, and the search pays only for the
+//! nodes nearer to `s` than `t`.
 
 use crate::{EdgeId, NodeId, Path, View};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -33,19 +42,25 @@ impl ShortestPathTree {
         if !self.reached(v) {
             return None;
         }
-        let mut edges = Vec::new();
-        let mut at = v;
-        while at != self.root {
-            let e = self.pred[at.index()]?;
-            edges.push(e);
-            at = view
-                .graph()
-                .opposite(e, at)
-                .expect("predecessor edges are incident");
-        }
-        edges.reverse();
-        Some(Path::new(self.root, edges, view.graph()))
+        walk_back(&self.pred, view, self.root, v)
     }
+}
+
+/// Reads the `root`→`v` path off the predecessor edges; `None` if the
+/// chain breaks before it reaches `root`.
+fn walk_back(pred: &[Option<EdgeId>], view: &View<'_>, root: NodeId, v: NodeId) -> Option<Path> {
+    let mut edges = Vec::new();
+    let mut at = v;
+    while at != root {
+        let e = pred[at.index()]?;
+        edges.push(e);
+        at = view
+            .graph()
+            .opposite(e, at)
+            .expect("predecessor edges are incident");
+    }
+    edges.reverse();
+    Some(Path::new(root, edges, view.graph()))
 }
 
 #[derive(PartialEq)]
@@ -98,48 +113,146 @@ pub fn dijkstra<F: Fn(EdgeId) -> f64>(
     root: NodeId,
     metric: F,
 ) -> ShortestPathTree {
-    let n = view.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut pred: Vec<Option<EdgeId>> = vec![None; n];
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    if view.node_enabled(root) {
-        dist[root.index()] = 0.0;
-        heap.push(HeapEntry {
-            dist: 0.0,
-            node: root,
-        });
+    let mut search = SearchScratch::default();
+    search.settle(view, root, None, metric);
+    ShortestPathTree {
+        dist: search.dist,
+        pred: search.pred,
+        root,
     }
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if done[u.index()] {
-            continue;
+}
+
+/// The buffers of Dijkstra's loop. [`shortest_path`] and
+/// [`capacity_shortest_paths`] reuse one per thread the way Dinic's
+/// scratch is reused: centrality runs thousands of searches over one
+/// graph per ISP solve, so a search allocates only the path it returns.
+#[derive(Default)]
+struct SearchScratch {
+    dist: Vec<f64>,
+    pred: Vec<Option<EdgeId>>,
+    done: Vec<bool>,
+    /// The nodes the last search gave a distance: the only entries the
+    /// next search has to reset.
+    touched: Vec<u32>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+/// Per-thread buffers of [`shortest_path`] and [`capacity_shortest_paths`].
+#[derive(Default)]
+struct PathScratch {
+    search: SearchScratch,
+    /// Residual capacities of [`capacity_shortest_paths`].
+    residual: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<PathScratch> = RefCell::new(PathScratch::default());
+}
+
+/// Runs `f` on this thread's path scratch. A metric that itself searches
+/// re-enters here while the scratch is borrowed; it gets fresh buffers.
+fn with_scratch<R>(f: impl FnOnce(&mut PathScratch) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut PathScratch::default()),
+    })
+}
+
+impl SearchScratch {
+    /// Readies the buffers for a search over `n` nodes.
+    fn reset(&mut self, n: usize) {
+        if self.dist.len() == n {
+            for &v in &self.touched {
+                let v = v as usize;
+                self.dist[v] = f64::INFINITY;
+                self.pred[v] = None;
+                self.done[v] = false;
+            }
+        } else {
+            self.dist.clear();
+            self.dist.resize(n, f64::INFINITY);
+            self.pred.clear();
+            self.pred.resize(n, None);
+            self.done.clear();
+            self.done.resize(n, false);
         }
-        done[u.index()] = true;
-        for (e, v) in view.neighbors(u) {
-            let w = metric(e);
-            if !w.is_finite() {
+        self.touched.clear();
+        self.heap.clear();
+    }
+
+    /// Dijkstra's loop from `s`: settles nodes in order of distance
+    /// until `target` is settled (returning `true`), or every node `s`
+    /// reaches is (returning `false`).
+    fn settle<F: Fn(EdgeId) -> f64>(
+        &mut self,
+        view: &View<'_>,
+        s: NodeId,
+        target: Option<NodeId>,
+        metric: F,
+    ) -> bool {
+        self.reset(view.node_count());
+        if !view.node_enabled(s) {
+            return false;
+        }
+        self.dist[s.index()] = 0.0;
+        self.touched.push(s.index() as u32);
+        self.heap.push(HeapEntry { dist: 0.0, node: s });
+        while let Some(HeapEntry { dist: d, node: u }) = self.heap.pop() {
+            if self.done[u.index()] {
                 continue;
             }
-            debug_assert!(w >= 0.0, "Dijkstra requires non-negative edge lengths");
-            let nd = d + w;
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                pred[v.index()] = Some(e);
-                heap.push(HeapEntry { dist: nd, node: v });
+            self.done[u.index()] = true;
+            if target == Some(u) {
+                return true;
+            }
+            for (e, v) in view.neighbors(u) {
+                let w = metric(e);
+                if !w.is_finite() {
+                    continue;
+                }
+                debug_assert!(w >= 0.0, "Dijkstra requires non-negative edge lengths");
+                let nd = d + w;
+                let at = v.index();
+                if nd < self.dist[at] {
+                    if self.dist[at] == f64::INFINITY {
+                        self.touched.push(at as u32);
+                    }
+                    self.dist[at] = nd;
+                    self.pred[at] = Some(e);
+                    self.heap.push(HeapEntry { dist: nd, node: v });
+                }
             }
         }
+        false
     }
-    ShortestPathTree { dist, pred, root }
+
+    /// The shortest `s`→`t` path, or `None` if `t` is unreachable.
+    fn path<F: Fn(EdgeId) -> f64>(
+        &mut self,
+        view: &View<'_>,
+        s: NodeId,
+        t: NodeId,
+        metric: F,
+    ) -> Option<Path> {
+        if self.settle(view, s, Some(t), metric) {
+            walk_back(&self.pred, view, s, t)
+        } else {
+            None
+        }
+    }
 }
 
 /// Shortest `s`→`t` path under `metric`, or `None` if disconnected.
+///
+/// The same path as `dijkstra(view, s, metric).path_to(t, view)`; the
+/// search stops once `t` is settled.
 pub fn shortest_path<F: Fn(EdgeId) -> f64>(
     view: &View<'_>,
     s: NodeId,
     t: NodeId,
     metric: F,
 ) -> Option<Path> {
-    dijkstra(view, s, metric).path_to(t, view)
+    with_scratch(|scratch| scratch.search.path(view, s, t, metric))
 }
 
 /// The set `P̂*(s, t)` of successive shortest paths that together carry at
@@ -159,46 +272,48 @@ pub fn capacity_shortest_paths<F: Fn(EdgeId) -> f64>(
     demand: f64,
     metric: F,
 ) -> Vec<(Path, f64)> {
-    let mut residual = (0..view.edge_count())
-        .map(|i| view.capacity(EdgeId::new(i)))
-        .collect::<Vec<f64>>();
-    let mut out = Vec::new();
-    let mut carried = 0.0;
-    // Each iteration saturates at least one edge, so |E| bounds the loop.
-    for _ in 0..view.edge_count() {
-        if carried >= demand - 1e-9 {
-            break;
-        }
-        // Saturated edges are masked through the metric (infinite length).
-        let tree = dijkstra(view, s, |e| {
-            if residual[e.index()] > 1e-9 {
-                metric(e)
-            } else {
-                f64::INFINITY
+    with_scratch(|scratch| {
+        let PathScratch { search, residual } = scratch;
+        residual.clear();
+        residual.extend((0..view.edge_count()).map(|i| view.capacity(EdgeId::new(i))));
+        let mut out = Vec::new();
+        let mut carried = 0.0;
+        // Each iteration saturates at least one edge, so |E| bounds the loop.
+        for _ in 0..view.edge_count() {
+            if carried >= demand - 1e-9 {
+                break;
             }
-        });
-        let Some(path) = tree.path_to(t, view) else {
-            break;
-        };
-        if path.is_empty() {
-            break;
+            // Saturated edges are masked through the metric (infinite length).
+            let found = search.path(view, s, t, |e| {
+                if residual[e.index()] > 1e-9 {
+                    metric(e)
+                } else {
+                    f64::INFINITY
+                }
+            });
+            let Some(path) = found else {
+                break;
+            };
+            if path.is_empty() {
+                break;
+            }
+            let cap = path
+                .edges()
+                .iter()
+                .map(|e| residual[e.index()])
+                .fold(f64::INFINITY, f64::min);
+            if cap <= 1e-9 {
+                break;
+            }
+            let take = cap.min(demand - carried);
+            for e in path.edges() {
+                residual[e.index()] -= cap.min(residual[e.index()]);
+            }
+            carried += take;
+            out.push((path, cap));
         }
-        let cap = path
-            .edges()
-            .iter()
-            .map(|e| residual[e.index()])
-            .fold(f64::INFINITY, f64::min);
-        if cap <= 1e-9 {
-            break;
-        }
-        let take = cap.min(demand - carried);
-        for e in path.edges() {
-            residual[e.index()] -= cap.min(residual[e.index()]);
-        }
-        carried += take;
-        out.push((path, cap));
-    }
-    out
+        out
+    })
 }
 
 #[cfg(test)]
@@ -263,6 +378,24 @@ mod tests {
         let mut g = Graph::with_nodes(3);
         g.add_edge(g.node(0), g.node(1), 1.0).unwrap();
         assert!(shortest_path(&g.view(), g.node(0), g.node(2), |_| 1.0).is_none());
+    }
+
+    #[test]
+    fn shortest_path_stops_at_the_target() {
+        // A 100-node line: the full tree prices all 198 incidences; the
+        // search for 0→1 settles node 1 right after node 0.
+        let mut g = Graph::with_nodes(100);
+        for i in 0..99 {
+            g.add_edge(g.node(i), g.node(i + 1), 1.0).unwrap();
+        }
+        let calls = std::cell::Cell::new(0);
+        let metric = |_| {
+            calls.set(calls.get() + 1);
+            1.0
+        };
+        let p = shortest_path(&g.view(), g.node(0), g.node(1), metric).unwrap();
+        assert_eq!(p.edges(), &[EdgeId::new(0)]);
+        assert!(calls.get() <= 4, "{} metric calls", calls.get());
     }
 
     #[test]

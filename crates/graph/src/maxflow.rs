@@ -99,7 +99,7 @@ struct Arcs {
     first: Vec<u32>,
     /// residual capacity of each arc.
     cap: Vec<f64>,
-    /// The edge id the arc was created from (u32::MAX for none).
+    /// The edge id the arc was created from.
     edge: Vec<u32>,
 }
 
@@ -117,9 +117,9 @@ impl Arcs {
         self.first.resize(nodes, NONE);
     }
 
-    /// Adds the arc pair (u→v cap `c_uv`, v→u cap `c_vu`); returns the
-    /// index of the forward arc (the reverse is `index ^ 1`).
-    fn add_pair(&mut self, u: NodeId, v: NodeId, c_uv: f64, c_vu: f64, edge: u32) -> u32 {
+    /// Adds the arc pair (u→v cap `c_uv`, v→u cap `c_vu`): the forward
+    /// arc at an even index `a`, the reverse at `a ^ 1`.
+    fn add_pair(&mut self, u: NodeId, v: NodeId, c_uv: f64, c_vu: f64, edge: u32) {
         let a = self.head.len() as u32;
         self.head.push(v.index() as u32);
         self.next.push(self.first[u.index()]);
@@ -132,7 +132,6 @@ impl Arcs {
         self.first[v.index()] = a + 1;
         self.cap.push(c_vu);
         self.edge.push(edge);
-        a
     }
 }
 
@@ -161,81 +160,44 @@ impl Arcs {
 /// # Ok::<(), netrec_graph::GraphError>(())
 /// ```
 pub fn max_flow(view: &View<'_>, source: NodeId, sink: NodeId) -> MaxFlow {
-    let n = view.node_count();
     let mut flow = MaxFlow {
         value: 0.0,
         edge_flow: vec![0.0; view.edge_count()],
         source,
         sink,
     };
-    if source == sink || !view.node_enabled(source) || !view.node_enabled(sink) {
+    if is_zero_flow(view, source, sink) {
         return flow;
     }
     SCRATCH.with(|scratch| {
         let s = &mut *scratch.borrow_mut();
-        s.arcs.reset(n);
-        s.forward_arc_of_edge.clear();
-        s.forward_arc_of_edge.resize(view.edge_count(), NONE);
-        for e in view.enabled_edges() {
-            let c = view.capacity(e);
-            if c <= 0.0 {
-                continue;
-            }
-            let (u, v) = view.graph().endpoints(e);
-            s.forward_arc_of_edge[e.index()] = s.arcs.add_pair(u, v, c, c, e.index() as u32);
-        }
-
-        s.level.clear();
-        s.level.resize(n, NONE);
-        s.iter_arc.clear();
-        s.iter_arc.resize(n, NONE);
-        loop {
-            // BFS to build the level graph on residual arcs.
-            for l in s.level.iter_mut() {
-                *l = NONE;
-            }
-            s.level[source.index()] = 0;
-            s.queue.clear();
-            s.queue.push_back(source.index() as u32);
-            while let Some(u) = s.queue.pop_front() {
-                let mut a = s.arcs.first[u as usize];
-                while a != NONE {
-                    let v = s.arcs.head[a as usize];
-                    if s.arcs.cap[a as usize] > 1e-12 && s.level[v as usize] == NONE {
-                        s.level[v as usize] = s.level[u as usize] + 1;
-                        s.queue.push_back(v);
-                    }
-                    a = s.arcs.next[a as usize];
-                }
-            }
-            if s.level[sink.index()] == NONE {
-                break;
-            }
-            s.iter_arc.copy_from_slice(&s.arcs.first);
-            flow.value += blocking_flow(
-                &mut s.arcs,
-                &s.level,
-                &mut s.iter_arc,
-                &mut s.path,
-                source.index() as u32,
-                sink.index() as u32,
-            );
-        }
-
-        // Recover net per-edge flows from residual capacities.
-        for (ei, &a) in s.forward_arc_of_edge.iter().enumerate() {
-            if a == NONE {
-                continue;
-            }
-            let c = view.capacity(EdgeId::new(ei));
-            // forward residual = c - f_uv + f_vu; reverse residual = c - f_vu + f_uv
-            // net u→v flow = (reverse_residual - forward_residual) / 2
-            let net = (s.arcs.cap[(a ^ 1) as usize] - s.arcs.cap[a as usize]) / 2.0;
-            debug_assert!(net.abs() <= c + 1e-6);
+        flow.value = s.solve(view, source, sink);
+        // Recover net per-edge flows from residual capacities, one arc
+        // pair (forward u→v at `a`, reverse at `a ^ 1`) per edge:
+        // forward residual = c - f_uv + f_vu; reverse residual = c - f_vu + f_uv
+        // net u→v flow = (reverse_residual - forward_residual) / 2
+        for a in (0..s.arcs.cap.len()).step_by(2) {
+            let ei = s.arcs.edge[a] as usize;
+            let net = (s.arcs.cap[a ^ 1] - s.arcs.cap[a]) / 2.0;
+            debug_assert!(net.abs() <= view.capacity(EdgeId::new(ei)) + 1e-6);
             flow.edge_flow[ei] = net;
         }
     });
     flow
+}
+
+/// Maximum flow value only: the same Dinic run as [`max_flow`], without
+/// allocating or recovering the per-edge flows.
+pub fn max_flow_value(view: &View<'_>, source: NodeId, sink: NodeId) -> f64 {
+    if is_zero_flow(view, source, sink) {
+        return 0.0;
+    }
+    SCRATCH.with(|scratch| scratch.borrow_mut().solve(view, source, sink))
+}
+
+/// Whether the flow is zero without a search: equal or masked terminals.
+fn is_zero_flow(view: &View<'_>, source: NodeId, sink: NodeId) -> bool {
+    source == sink || !view.node_enabled(source) || !view.node_enabled(sink)
 }
 
 /// Reusable per-thread Dinic state. Hot paths — the approx oracle's
@@ -246,7 +208,6 @@ pub fn max_flow(view: &View<'_>, source: NodeId, sink: NodeId) -> MaxFlow {
 #[derive(Default)]
 struct DinicScratch {
     arcs: Arcs,
-    forward_arc_of_edge: Vec<u32>,
     level: Vec<u32>,
     iter_arc: Vec<u32>,
     queue: VecDeque<u32>,
@@ -257,6 +218,72 @@ struct DinicScratch {
 thread_local! {
     static SCRATCH: std::cell::RefCell<DinicScratch> =
         std::cell::RefCell::new(DinicScratch::default());
+}
+
+impl DinicScratch {
+    /// Builds the arc pairs of `view` and runs Dinic's phases from
+    /// `source` to `sink` (distinct, both enabled); returns the flow
+    /// value and leaves the residual capacities in `arcs`.
+    fn solve(&mut self, view: &View<'_>, source: NodeId, sink: NodeId) -> f64 {
+        let n = view.node_count();
+        self.arcs.reset(n);
+        for e in view.enabled_edges() {
+            let c = view.capacity(e);
+            if c <= 0.0 {
+                continue;
+            }
+            let (u, v) = view.graph().endpoints(e);
+            self.arcs.add_pair(u, v, c, c, e.index() as u32);
+        }
+
+        self.level.clear();
+        self.level.resize(n, NONE);
+        self.iter_arc.clear();
+        self.iter_arc.resize(n, NONE);
+        let sink_index = sink.index() as u32;
+        let mut value = 0.0;
+        loop {
+            // BFS to build the level graph on residual arcs. It stops
+            // once it labels the sink: a node the BFS would label later
+            // sits at the sink's level or beyond, where no level-
+            // increasing path reaches the sink, so the blocking flow
+            // only ever retreats from it — it augments along the same
+            // paths either way.
+            for l in self.level.iter_mut() {
+                *l = NONE;
+            }
+            self.level[source.index()] = 0;
+            self.queue.clear();
+            self.queue.push_back(source.index() as u32);
+            'bfs: while let Some(u) = self.queue.pop_front() {
+                let mut a = self.arcs.first[u as usize];
+                while a != NONE {
+                    let v = self.arcs.head[a as usize];
+                    if self.arcs.cap[a as usize] > 1e-12 && self.level[v as usize] == NONE {
+                        self.level[v as usize] = self.level[u as usize] + 1;
+                        if v == sink_index {
+                            break 'bfs;
+                        }
+                        self.queue.push_back(v);
+                    }
+                    a = self.arcs.next[a as usize];
+                }
+            }
+            if self.level[sink.index()] == NONE {
+                break;
+            }
+            self.iter_arc.copy_from_slice(&self.arcs.first);
+            value += blocking_flow(
+                &mut self.arcs,
+                &self.level,
+                &mut self.iter_arc,
+                &mut self.path,
+                source.index() as u32,
+                sink_index,
+            );
+        }
+        value
+    }
 }
 
 /// One Dinic phase: finds a blocking flow in the level graph with an
@@ -320,11 +347,6 @@ fn blocking_flow(
         }
     }
     total
-}
-
-/// Maximum flow value only (convenience wrapper over [`max_flow`]).
-pub fn max_flow_value(view: &View<'_>, source: NodeId, sink: NodeId) -> f64 {
-    max_flow(view, source, sink).value
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Property-based tests of the graph substrate on randomized inputs.
 
-use netrec_graph::{cut, dijkstra, maxflow, path, traversal, Graph, NodeId};
+use netrec_graph::{cut, dijkstra, maxflow, path, traversal, EdgeId, Graph, NodeId};
 use proptest::prelude::*;
 
 /// Random connected graph: a random tree over `n` nodes plus extra edges.
@@ -26,8 +26,152 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
         })
 }
 
+/// Node and edge masks of `g` from drawn codes (cycled to length): code
+/// 0 masks the element, so about a quarter of each is masked and most
+/// pairs stay connected.
+fn masks(g: &Graph, node_codes: &[u64], edge_codes: &[u64]) -> (Vec<bool>, Vec<bool>) {
+    let nodes = (0..g.node_count())
+        .map(|i| node_codes[i % node_codes.len()] != 0)
+        .collect();
+    let edges = (0..g.edge_count())
+        .map(|i| edge_codes[i % edge_codes.len()] != 0)
+        .collect();
+    (nodes, edges)
+}
+
+/// An edge-length table with zero-length edges, ties and absent
+/// (infinite) edges: code `k` maps to 0, 1, 1, 2 or ∞.
+fn lengths(g: &Graph, codes: &[u64]) -> Vec<f64> {
+    (0..g.edge_count())
+        .map(|i| match codes[i % codes.len()] {
+            0 => 0.0,
+            1 | 2 => 1.0,
+            3 => 2.0,
+            _ => f64::INFINITY,
+        })
+        .collect()
+}
+
+/// `P̂*` as the full-tree search computes it: successive shortest paths
+/// read off `dijkstra(..).path_to(t)` on the residual capacities.
+fn tree_capacity_paths(
+    view: &netrec_graph::View<'_>,
+    s: NodeId,
+    t: NodeId,
+    demand: f64,
+    metric: impl Fn(EdgeId) -> f64,
+) -> Vec<(netrec_graph::Path, f64)> {
+    let mut residual: Vec<f64> = (0..view.edge_count())
+        .map(|i| view.capacity(EdgeId::new(i)))
+        .collect();
+    let mut out = Vec::new();
+    let mut carried = 0.0;
+    for _ in 0..view.edge_count() {
+        if carried >= demand - 1e-9 {
+            break;
+        }
+        let tree = dijkstra::dijkstra(view, s, |e| {
+            if residual[e.index()] > 1e-9 {
+                metric(e)
+            } else {
+                f64::INFINITY
+            }
+        });
+        let Some(path) = tree.path_to(t, view) else {
+            break;
+        };
+        if path.is_empty() {
+            break;
+        }
+        let cap = path
+            .edges()
+            .iter()
+            .map(|e| residual[e.index()])
+            .fold(f64::INFINITY, f64::min);
+        if cap <= 1e-9 {
+            break;
+        }
+        carried += cap.min(demand - carried);
+        for e in path.edges() {
+            residual[e.index()] -= cap.min(residual[e.index()]);
+        }
+        out.push((path, cap));
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The search that stops at the target returns exactly the edge list
+    /// of the full tree's `path_to(t)`, and `None` exactly when it does,
+    /// on masked graphs under a metric with zero-length edges and ties;
+    /// so does every path of `P̂*`, with bit-identical capacities.
+    #[test]
+    fn target_stopping_search_matches_the_tree(
+        g in arb_graph(),
+        a in 0usize..14,
+        node_codes in proptest::collection::vec(0u64..4, 1..14),
+        edge_codes in proptest::collection::vec(0u64..4, 1..28),
+        codes in proptest::collection::vec(0u64..5, 1..28),
+    ) {
+        let (node_mask, edge_mask) = masks(&g, &node_codes, &edge_codes);
+        let len = lengths(&g, &codes);
+        let metric = |e: EdgeId| len[e.index()];
+        for view in [g.view(), g.view().with_node_mask(&node_mask).with_edge_mask(&edge_mask)] {
+            // Every pair: the scratch buffers carry over from search to
+            // search on this thread.
+            for s in g.nodes() {
+                let tree = dijkstra::dijkstra(&view, s, metric);
+                for t in g.nodes() {
+                    let stopped = dijkstra::shortest_path(&view, s, t, metric);
+                    prop_assert_eq!(stopped, tree.path_to(t, &view), "{:?}→{:?}", s, t);
+                }
+            }
+            let s = g.node(a % g.node_count());
+            for t in g.nodes() {
+                let demand = 1.0 + (a * t.index()) as f64;
+                let stopped = dijkstra::capacity_shortest_paths(&view, s, t, demand, metric);
+                let full = tree_capacity_paths(&view, s, t, demand, metric);
+                prop_assert_eq!(stopped.len(), full.len());
+                for ((p, c), (q, d)) in stopped.iter().zip(&full) {
+                    prop_assert_eq!(p, q);
+                    prop_assert_eq!(c.to_bits(), d.to_bits());
+                }
+            }
+        }
+    }
+
+    /// The value-only max flow is bit-identical to the value of the flow
+    /// `max_flow` recovers, on masked graphs with residual capacities.
+    #[test]
+    fn maxflow_value_is_bit_identical(
+        g in arb_graph(),
+        a in 0usize..14,
+        b in 0usize..14,
+        node_codes in proptest::collection::vec(0u64..4, 1..14),
+        edge_codes in proptest::collection::vec(0u64..4, 1..28),
+        scale in proptest::collection::vec(0.0f64..1.5, 1..28),
+    ) {
+        let n = g.node_count();
+        let (s, t) = (g.node(a % n), g.node(b % n));
+        let (node_mask, edge_mask) = masks(&g, &node_codes, &edge_codes);
+        let caps: Vec<f64> = g
+            .edges()
+            .map(|e| g.capacity(e) * scale[e.index() % scale.len()])
+            .collect();
+        for view in [
+            g.view(),
+            g.view()
+                .with_node_mask(&node_mask)
+                .with_edge_mask(&edge_mask)
+                .with_capacities(&caps),
+        ] {
+            let value = maxflow::max_flow_value(&view, s, t);
+            let flow = maxflow::max_flow(&view, s, t);
+            prop_assert_eq!(value.to_bits(), flow.value.to_bits());
+        }
+    }
 
     /// Dijkstra under the unit metric equals BFS hop distance.
     #[test]

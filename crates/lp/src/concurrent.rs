@@ -165,8 +165,9 @@ pub fn max_concurrent_flow(
                     break 'outer;
                 }
                 iterations += 1;
-                let tree = dijkstra::dijkstra(view, dem.source, |e| length[e.index()]);
-                let Some(path) = tree.path_to(dem.target, view) else {
+                let Some(path) =
+                    dijkstra::shortest_path(view, dem.source, dem.target, |e| length[e.index()])
+                else {
                     // Disconnected demand: λ* = 0.
                     return zero_flow();
                 };

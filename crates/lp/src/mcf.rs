@@ -123,20 +123,23 @@ fn build_mcf_vars(
     demands: &[Demand],
     commodities: usize,
 ) -> McfVars {
-    // Mark relevant components by BFS from each endpoint.
-    let mut node_active = vec![false; view.node_count()];
+    // Mark relevant components: one labelling, then every node whose
+    // component holds an enabled endpoint.
+    let (component, count) = traversal::connected_components(view);
+    let mut relevant = vec![false; count];
     for d in demands {
         for &n in &[d.source, d.target] {
-            if n.index() < node_active.len() && !node_active[n.index()] && view.node_enabled(n) {
-                let tree = traversal::bfs(view, n);
-                for v in view.enabled_nodes() {
-                    if tree.reached(v) {
-                        node_active[v.index()] = true;
-                    }
+            if let Some(&c) = component.get(n.index()) {
+                if c != usize::MAX {
+                    relevant[c] = true;
                 }
             }
         }
     }
+    let node_active: Vec<bool> = component
+        .iter()
+        .map(|&c| c != usize::MAX && relevant[c])
+        .collect();
 
     let mut pair = vec![vec![None; view.edge_count()]; commodities];
     for e in view.enabled_edges() {
@@ -242,12 +245,17 @@ fn decode_flows(view: &View<'_>, vars: &McfVars, values: &[f64], h_count: usize)
 /// Quick necessary condition: every positive demand's endpoints must be
 /// enabled and connected in `view`. Much cheaper than the LP; returns
 /// `true` if the instance is *certainly* unroutable.
+///
+/// One component labelling of `view`, made at the first positive demand
+/// with enabled endpoints, answers connectivity for every demand.
 pub fn quick_unroutable(view: &View<'_>, demands: &[Demand]) -> bool {
-    demands.iter().any(|d| {
-        d.amount > 0.0
-            && (!view.node_enabled(d.source)
-                || !view.node_enabled(d.target)
-                || !traversal::connected(view, d.source, d.target))
+    let mut component: Option<Vec<usize>> = None;
+    demands.iter().filter(|d| d.amount > 0.0).any(|d| {
+        if !view.node_enabled(d.source) || !view.node_enabled(d.target) {
+            return true;
+        }
+        let component = component.get_or_insert_with(|| traversal::connected_components(view).0);
+        component[d.source.index()] != component[d.target.index()]
     })
 }
 

@@ -4,7 +4,7 @@
 //! sequential-routing certificate of the Decision-2 split, cold and
 //! warm, and the split LP against the per-demand routability LP.
 
-use netrec_graph::{Graph, View};
+use netrec_graph::{traversal, Graph, View};
 use netrec_lp::concurrent::{max_concurrent_flow, ConcurrentFlowConfig};
 use netrec_lp::mcf::{self, Demand, FlowAssignment};
 use netrec_lp::milp::{self, BranchBoundConfig};
@@ -85,6 +85,35 @@ fn small_graph(n: usize, edges: &[(usize, usize, f64)]) -> Graph {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `quick_unroutable` on one component labelling agrees with its
+    /// definition, a connectivity search per positive demand, on random
+    /// masked graphs (zero amounts and equal endpoints included).
+    #[test]
+    fn quick_unroutable_matches_per_demand_connectivity(
+        n in 2usize..9,
+        edges in proptest::collection::vec((0usize..64, 0usize..64, 0.0f64..10.0), 0..12),
+        pairs in proptest::collection::vec((0usize..64, 0usize..64, 0.0f64..4.0), 1..5),
+        node_bits in proptest::collection::vec(any::<bool>(), 1..9),
+        edge_bits in proptest::collection::vec(any::<bool>(), 1..12),
+    ) {
+        let g = small_graph(n, &edges);
+        let node_mask: Vec<bool> = (0..n).map(|i| i % 3 == 0 || node_bits[i % node_bits.len()]).collect();
+        let edge_mask: Vec<bool> =
+            (0..g.edge_count()).map(|i| edge_bits[i % edge_bits.len()]).collect();
+        let view = g.view().with_node_mask(&node_mask).with_edge_mask(&edge_mask);
+        let demands: Vec<Demand> = pairs
+            .iter()
+            .map(|&(s, t, a)| Demand::new(g.node(s % n), g.node(t % n), if a < 1.0 { 0.0 } else { a }))
+            .collect();
+        let by_definition = demands.iter().any(|d| {
+            d.amount > 0.0
+                && (!view.node_enabled(d.source)
+                    || !view.node_enabled(d.target)
+                    || !traversal::connected(&view, d.source, d.target))
+        });
+        prop_assert_eq!(mcf::quick_unroutable(&view, &demands), by_definition);
+    }
 
     /// Simplex maximization with all-`Le` rows and bounded variables:
     /// optimal solutions are feasible and no sampled feasible point beats

@@ -24,10 +24,13 @@
 //! pool itself untouched. A worker that dies *outside* the protected
 //! region respawns, so pool capacity cannot decay. The scheduler is
 //! bounded ([`ServerConfig`]): past the global or per-session queue
-//! limits, requests are shed at read time with a typed `overloaded`
-//! error carrying a `retry_after_ms` hint from an EWMA of recent
-//! service times — only `shutdown` bypasses the bound, so the drain
-//! path survives any overload.
+//! limits, a TCP connection's requests are shed at read time with a
+//! typed `overloaded` error carrying a `retry_after_ms` hint from an
+//! EWMA of recent service times — only `shutdown` bypasses the bound,
+//! so the drain path survives any overload. Stdin is one client with
+//! nobody to retry a shed request, so its reader waits for a slot
+//! instead ([`Server::serve_stdin`]): backpressure through the pipe,
+//! and a request file replays to the same replies at any worker count.
 //!
 //! Latency is recorded per operation as each request is processed, into
 //! a fixed-size log-linear histogram (8 sub-buckets per power of two),
@@ -58,6 +61,19 @@ const PROTOCOL_ERROR_OP: &str = "protocol_error";
 /// op's served latencies.
 const SHED_OP: &str = "overloaded";
 const WAL_REFUSED_OP: &str = "io_error";
+
+/// How admission treats a request past the queue bounds. The transport
+/// chooses it, `shutdown` overrides it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admission {
+    /// Refuse it with `overloaded` and a retry hint (TCP connections
+    /// and the in-process harness).
+    Shed,
+    /// Wait until a completion frees a slot (stdin).
+    Wait,
+    /// Bypass the bounds and any checkpoint pause (`shutdown`).
+    Force,
+}
 
 /// Tuning knobs for the server's containment behavior.
 #[derive(Debug, Clone)]
@@ -147,8 +163,8 @@ struct Scheduler {
     /// is stopping. Only [`Scheduler::next`] waits on it, so
     /// [`Scheduler::enqueue`]'s single wakeup always reaches a worker.
     cv: Condvar,
-    /// Wakes the checkpoint side: paused admissions in
-    /// [`Scheduler::reserve`] (the pause lifted) and the drain in
+    /// Wakes blocked admissions in [`Scheduler::reserve`] (the pause
+    /// lifted, or `in_flight` fell) and the drain in
     /// [`Scheduler::pause_and_drain`] (`in_flight` fell).
     admit_cv: Condvar,
     workers: usize,
@@ -176,10 +192,12 @@ impl Scheduler {
     }
 
     /// Phase one of admission: claims an in-flight slot for the request
-    /// read as `index`, or rejects when the queue bounds are exceeded.
-    /// `force` (shutdown) bypasses both the bounds and a checkpoint
-    /// pause: the drain path must stay reachable under any overload and
-    /// cannot deadlock behind a quiesce. Admission is split from [`Scheduler::enqueue`] so the
+    /// read as `index`. Past the queue bounds, [`Admission::Shed`]
+    /// rejects and [`Admission::Wait`] blocks until a completion frees a
+    /// slot; both wait out a checkpoint pause. [`Admission::Force`]
+    /// (shutdown) bypasses both the bounds and the pause: the drain path
+    /// must stay reachable under any overload and cannot deadlock behind
+    /// a quiesce. Admission is split from [`Scheduler::enqueue`] so the
     /// write-ahead append can sit between them — a request's log record
     /// exists before any worker can see the job, and a checkpoint's
     /// drain barrier ([`Scheduler::pause_and_drain`]) cannot catch a
@@ -189,20 +207,30 @@ impl Scheduler {
     ///
     /// A `retry_after_ms` hint — the estimated time for the pool to
     /// drain the current backlog.
-    fn reserve(&self, session: &str, index: u64, force: bool) -> Result<(), u64> {
+    fn reserve(&self, session: &str, index: u64, admission: Admission) -> Result<(), u64> {
         let mut st = self.lock();
-        while st.paused && !force {
-            st = self
-                .admit_cv
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        if !force {
-            let session_pending = st.per_session.get(session).map_or(0, VecDeque::len);
-            if st.in_flight.len() >= self.max_queue || session_pending >= self.max_session_queue {
-                let backlog = st.in_flight.len().max(1) as f64;
-                let retry_ms = (backlog * st.ewma_us / self.workers as f64 / 1_000.0).ceil() as u64;
-                return Err(retry_ms.clamp(1, 30_000));
+        if admission != Admission::Force {
+            loop {
+                if !st.paused {
+                    let session_pending = st.per_session.get(session).map_or(0, VecDeque::len);
+                    let full = st.in_flight.len() >= self.max_queue
+                        || session_pending >= self.max_session_queue;
+                    if !full {
+                        break;
+                    }
+                    if admission == Admission::Shed {
+                        let backlog = st.in_flight.len().max(1) as f64;
+                        let retry_ms =
+                            (backlog * st.ewma_us / self.workers as f64 / 1_000.0).ceil() as u64;
+                        return Err(retry_ms.clamp(1, 30_000));
+                    }
+                }
+                // Every reserved job completes and notifies, so a full
+                // queue always drains far enough to admit.
+                st = self
+                    .admit_cv
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         }
         st.in_flight.insert(index);
@@ -729,6 +757,27 @@ impl Server {
     /// stops consuming input ("stop accepting"); its response still
     /// flushes once the queue drains.
     pub fn serve_connection(&self, reader: impl BufRead, sink: Box<dyn Write + Send>) -> usize {
+        self.serve_lines(reader, sink, Admission::Shed)
+    }
+
+    /// Serves the daemon's stdin like [`Server::serve_connection`],
+    /// except that a request past the queue bounds waits for an
+    /// admission slot instead of being shed. Stdin is one client with
+    /// nobody to retry a shed request: the reader stops reading until
+    /// the pool drains (backpressure through the pipe), so a request
+    /// file replays to the same replies at every worker count.
+    pub fn serve_stdin(&self, reader: impl BufRead, sink: Box<dyn Write + Send>) -> usize {
+        self.serve_lines(reader, sink, Admission::Wait)
+    }
+
+    /// The line loop of [`Server::serve_connection`] and
+    /// [`Server::serve_stdin`].
+    fn serve_lines(
+        &self,
+        reader: impl BufRead,
+        sink: Box<dyn Write + Send>,
+        admission: Admission,
+    ) -> usize {
         let conn = Arc::new(ConnOut::new(sink));
         let mut seq = 0u64;
         for line in reader.lines() {
@@ -741,7 +790,7 @@ impl Server {
             }
             let slot = seq;
             seq += 1;
-            if read_one_line(&self.shared, &conn, slot, &line) {
+            if read_one_line(&self.shared, &conn, slot, &line, admission) {
                 break;
             }
         }
@@ -844,10 +893,16 @@ impl Server {
 }
 
 /// Handles one read line: parse, index, write-ahead log, admit (or
-/// shed), and reply inline for protocol errors and `health`. Returns
-/// `true` when the line was a `shutdown` request (the reader should
-/// stop consuming input).
-fn read_one_line(shared: &Arc<Shared>, conn: &Arc<ConnOut>, slot: u64, line: &str) -> bool {
+/// shed, or wait, per the transport's `admission`), and reply inline
+/// for protocol errors and `health`. Returns `true` when the line was a
+/// `shutdown` request (the reader should stop consuming input).
+fn read_one_line(
+    shared: &Arc<Shared>,
+    conn: &Arc<ConnOut>,
+    slot: u64,
+    line: &str,
+    admission: Admission,
+) -> bool {
     match Request::parse(line) {
         Ok(req) => {
             // Replies answered here, on the read path, are timed from
@@ -882,8 +937,12 @@ fn read_one_line(shared: &Arc<Shared>, conn: &Arc<ConnOut>, slot: u64, line: &st
             if is_shutdown {
                 shared.sched.await_earlier(index);
             }
-            if let Err(retry_after_ms) =
-                shared.sched.reserve(req.session_name(), index, is_shutdown)
+            let admission = if is_shutdown {
+                Admission::Force
+            } else {
+                admission
+            };
+            if let Err(retry_after_ms) = shared.sched.reserve(req.session_name(), index, admission)
             {
                 let response = Response::error_with(
                     Some(&req.id),
@@ -1026,7 +1085,7 @@ fn serve_tcp_connection(
         }
         let slot = seq;
         seq += 1;
-        if read_one_line(&shared, &conn, slot, &line) {
+        if read_one_line(&shared, &conn, slot, &line, Admission::Shed) {
             break;
         }
     }
@@ -1288,6 +1347,61 @@ not json at all
             .count();
         assert_eq!(count("query_routability"), served, "{report:?}");
         assert_eq!(count("overloaded"), shed.len(), "{report:?}");
+    }
+
+    #[test]
+    fn stdin_waits_for_a_slot_instead_of_shedding() {
+        // latency@0 holds a worker for 200ms while the reader runs far
+        // past max_queue=2 and max_session_queue=1 over two sessions.
+        // The stdin reader waits for slots: nothing sheds, and the
+        // replies do not depend on the worker count.
+        let mut stream = String::new();
+        for i in 0..8 {
+            let session = if i % 3 == 0 { "a" } else { "b" };
+            let edge = i % 4;
+            stream.push_str(&format!(
+                r#"{{"v":1,"id":"d{i}","session":"{session}","op":"disrupt","edges":[{edge}],"cost":1.0}}
+{{"v":1,"id":"q{i}","session":"{session}","op":"query_routability"}}
+{{"v":1,"id":"r{i}","session":"{session}","op":"repair","edges":[{edge}]}}
+"#
+            ));
+        }
+        stream.push_str(r#"{"v":1,"id":"z","op":"shutdown"}"#);
+        let config = ServerConfig {
+            max_queue: 2,
+            max_session_queue: 1,
+            ..ServerConfig::default()
+        };
+        let outputs: Vec<String> = [1, 2]
+            .into_iter()
+            .map(|workers| {
+                let server =
+                    Server::with_config(faulty_engine("latency@0:200"), workers, config.clone());
+                let out = SharedBuf::default();
+                server.serve_stdin(stream.as_bytes(), Box::new(out.clone()));
+                server.finish();
+                out.take()
+            })
+            .collect();
+        for out in &outputs {
+            assert_eq!(out.lines().count(), 25, "{out}");
+            let shed = out
+                .lines()
+                .filter(|l| l.contains(r#""overloaded""#))
+                .count();
+            assert_eq!(shed, 0, "stdin never sheds:\n{out}");
+            assert!(
+                out.lines().all(|l| Response::parse(l).unwrap().is_ok()),
+                "{out}"
+            );
+        }
+        assert_eq!(
+            outputs[0], outputs[1],
+            "stdin replays are byte-deterministic"
+        );
+        // The same stream over a shedding transport does shed.
+        let (shed, _) = run_stream_with(faulty_engine("latency@0:200"), 1, &stream, config);
+        assert!(shed.contains(r#""overloaded""#), "{shed}");
     }
 
     #[test]

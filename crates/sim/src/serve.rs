@@ -32,8 +32,10 @@ usage: netrec-cli serve [options]
   --tcp ADDR           also listen on ADDR (e.g. 127.0.0.1:7007);
                        the bound address is printed to stderr
   --max-queue N        global bound on admitted-not-done requests;
-                       past it requests shed with a typed
-                       `overloaded` error + retry_after_ms (default 1024)
+                       past it TCP requests shed with a typed
+                       `overloaded` error + retry_after_ms, and
+                       stdin stops reading until a slot frees
+                       (default 1024)
   --max-session-queue N  per-session pending bound       (default 256)
   --read-timeout-ms N  TCP read poll / hung-client bound (default 200)
   --restore PATH       restore a session persisted by
@@ -98,8 +100,10 @@ to stderr on shutdown. See DESIGN.md §13 for the full grammar.
 
 failure containment (DESIGN.md §14): a panic while a request executes
 becomes a typed `internal_error` reply and poisons only that session
-(later requests answer `session_poisoned`); queue bounds shed load
-with `overloaded` + retry_after_ms; `query_routability`/`query_plan`
+(later requests answer `session_poisoned`); queue bounds shed TCP
+load with `overloaded` + retry_after_ms and hold back stdin (its
+reader waits for a slot, so a replayed file never sheds);
+`query_routability`/`query_plan`
 accept \"degraded_ok\":true for certified-threshold / last-known-good
 fallbacks marked \"degraded\":true; `snapshot` with \"path\" persists
 the session atomically for `--restore` after a crash.
@@ -462,7 +466,7 @@ pub fn run(args: &[String]) -> Result<i32, UsageError> {
 
     let stdin = std::io::stdin();
     let stdout = StdoutSink;
-    server.serve_connection(stdin.lock(), Box::new(stdout));
+    server.serve_stdin(stdin.lock(), Box::new(stdout));
 
     if let Some(acceptor) = acceptor {
         // Stdin is done; keep serving TCP until a shutdown arrives.
