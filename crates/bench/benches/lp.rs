@@ -1,7 +1,7 @@
 //! LP engine benchmarks: sparse revised simplex vs the dense-tableau
 //! reference, cold and warm (DESIGN.md §11).
 //!
-//! Writes `BENCH_lp.json` with five pairings:
+//! Writes `BENCH_lp.json` with six pairings:
 //!
 //! * `routability_bell_dense` / `routability_bell_revised` — one
 //!   routability LP (system (2)) on the Bell-Canada instance's full view
@@ -9,6 +9,11 @@
 //!   explicitly; the revised side calls the production entry point
 //!   [`mcf::routability`], so a runtime path that fell back to the dense
 //!   tableau would collapse the ratio;
+//! * `routability_bell_revised` / `routability_bell_certified` — the
+//!   same question through a cold exact oracle (a fresh `ExactLp` per
+//!   iteration), whose certificate tier answers it with the sequential
+//!   routing before any LP. An oracle that solved the LP again would
+//!   read about 1x;
 //! * `routability_fig7_dense` / `routability_fig7_revised` — one
 //!   routability LP on the fig7-style n = 60 Erdős–Rényi topology;
 //! * `schedule_patches_cold` / `schedule_patches_warm` — the scheduler
@@ -36,6 +41,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netrec_bench::{bell_instance, problem_for};
+use netrec_core::oracle::ExactLp;
+use netrec_core::RoutabilityOracle;
 use netrec_disrupt::DisruptionModel;
 use netrec_lp::mcf::{self, Demand, WarmRoutability, WarmRouter};
 use netrec_lp::LpEngine;
@@ -62,6 +69,20 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("routability_bell_revised", |b| {
         b.iter(|| mcf::routability(black_box(&bell_view), &demands).unwrap())
+    });
+    assert!(
+        matches!(
+            mcf::certify(&bell_view, &demands),
+            Some(mcf::Certificate::Routing(_))
+        ),
+        "the sequential routing must certify the Bell state"
+    );
+    g.bench_function("routability_bell_certified", |b| {
+        b.iter(|| {
+            ExactLp::new()
+                .is_routable(black_box(&bell_view), &demands)
+                .unwrap()
+        })
     });
 
     for (id, engine) in [

@@ -37,8 +37,8 @@ use crate::oracle::{EvalOracle, OracleSpec, OracleStats, DEFAULT_SIZE_THRESHOLD}
 use crate::solver::{ProgressEvent, SolveContext};
 use crate::state::{IspState, EPS};
 use crate::{RecoveryError, RecoveryPlan, RecoveryProblem};
-use netrec_graph::{maxflow, View};
-use netrec_lp::mcf::{self, Demand, FlowAssignment, WarmRouter};
+use netrec_graph::maxflow;
+use netrec_lp::mcf::{self, WarmRouter};
 use serde::{Deserialize, Serialize};
 
 /// Which edge-length metric drives centrality and path selection.
@@ -201,7 +201,7 @@ pub fn solve_isp_in(
     let mut router = WarmRouter::default();
     match mcf::route_sequentially(&full, &initial_demands) {
         Some(flows) => {
-            debug_assert!(routes_exactly(&full, &initial_demands, &flows));
+            debug_assert!(flows.routes(&full, &initial_demands));
             router.keep(&initial_demands, flows);
         }
         None if !oracle.is_routable(&full, &initial_demands)? => {
@@ -410,7 +410,7 @@ fn exact_split_amount(
                 .flatten()
         });
         if let Some(flows) = routed {
-            debug_assert!(routes_exactly(&full, &at_cap, &flows));
+            debug_assert!(flows.routes(&full, &at_cap));
             router.keep(&at_cap, flows);
             return Ok(cap);
         }
@@ -488,52 +488,6 @@ fn force_repair(state: &mut IspState<'_>, config: &IspConfig) -> bool {
         }
         (None, None) => false,
     }
-}
-
-/// Whether `flows` is a feasible flow of exactly `demands` on `view`,
-/// at 1e-9: each demand's net outflow is its amount at the source,
-/// minus it at the target and zero elsewhere, and no edge carries more
-/// summed `|flow|` than its capacity (a masked one none). The debug
-/// check on every routing certificate ISP relies on.
-fn routes_exactly(view: &View<'_>, demands: &[Demand], flows: &FlowAssignment) -> bool {
-    const TOL: f64 = 1e-9;
-    let g = view.graph();
-    let conserves = |d: &Demand, f: &[f64]| {
-        let amount = if d.amount > 0.0 && d.source != d.target {
-            d.amount
-        } else {
-            0.0
-        };
-        let mut net = vec![0.0; g.node_count()];
-        for e in g.edges() {
-            let (u, v) = g.endpoints(e);
-            net[u.index()] += f[e.index()];
-            net[v.index()] -= f[e.index()];
-        }
-        g.nodes().all(|n| {
-            let want = if n == d.source {
-                amount
-            } else if n == d.target {
-                -amount
-            } else {
-                0.0
-            };
-            (net[n.index()] - want).abs() <= TOL
-        })
-    };
-    flows.flow.len() == demands.len()
-        && demands
-            .iter()
-            .zip(&flows.flow)
-            .all(|(d, f)| conserves(d, f))
-        && g.edges().all(|e| {
-            let cap = if view.edge_enabled(e) {
-                view.capacity(e)
-            } else {
-                0.0
-            };
-            flows.edge_load(e) <= cap + TOL
-        })
 }
 
 #[cfg(test)]

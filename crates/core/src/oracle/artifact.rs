@@ -51,6 +51,7 @@ use super::{
 };
 use crate::fsio::{self, ContainerError};
 use crate::RecoveryError;
+use netrec_graph::certificate::CUT_MARGIN;
 use netrec_graph::{Graph, View};
 use netrec_json::{object, Json};
 use netrec_lp::mcf::Demand;
@@ -243,7 +244,7 @@ impl RoutabilityArtifact {
                     }
                 }
             }
-            if crossing_cap < cut.crossing_demand - 1e-9 {
+            if crossing_cap < cut.crossing_demand - CUT_MARGIN {
                 return Some(false);
             }
         }
@@ -928,6 +929,45 @@ mod tests {
         let caps = vec![8.0, 9.0];
         let view = g.view().with_capacities(&caps);
         assert_eq!(artifact.lookup(&view, &demands), None);
+    }
+
+    #[test]
+    fn every_exact_backend_answers_what_the_lp_answers_at_the_capacity_edge() {
+        // The square's max flow 0→3 is 14. A demand just above it is
+        // infeasible in exact arithmetic, but the simplex accepts a
+        // violation up to its feasibility tolerance; every exact
+        // backend, with its cut checks, must agree with the plain LP.
+        let g = square();
+        for delta in [2e-9, 5e-8, 2e-7] {
+            let demands = [Demand::new(g.node(0), g.node(3), 14.0 + delta)];
+            // The sweep records only the state with node 0's edges cut,
+            // so the artifact holds the stored cut {0}; the intact state
+            // (crossing capacity 14) is left to that cut and the inner
+            // backend.
+            let mut builder = ArtifactBuilder::new(&g, &demands);
+            let isolated = vec![false, true, false, true];
+            builder.record(&g.view().with_edge_mask(&isolated), &demands, false);
+            let artifact = Arc::new(builder.finish("square", &["single-cut".to_string()]));
+            assert_eq!(artifact.cut_count(), 1);
+            let fronted = ArtifactOracle::new(artifact, Box::new(IncrementalOracle::new()));
+            let lp = netrec_lp::mcf::routability(&g.view(), &demands)
+                .unwrap()
+                .is_some();
+            let view = g.view();
+            assert_eq!(
+                ExactLp::new().is_routable(&view, &demands).unwrap(),
+                lp,
+                "{delta}"
+            );
+            assert_eq!(
+                IncrementalOracle::new()
+                    .is_routable(&view, &demands)
+                    .unwrap(),
+                lp,
+                "{delta}"
+            );
+            assert_eq!(fronted.is_routable(&view, &demands).unwrap(), lp, "{delta}");
+        }
     }
 
     #[test]

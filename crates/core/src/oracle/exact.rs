@@ -2,16 +2,16 @@
 
 use super::{Counter, EvalOracle, OracleStats, RoutabilityOracle, SatisfactionOracle};
 use crate::RecoveryError;
-use netrec_graph::{maxflow, View};
+use netrec_graph::View;
 use netrec_lp::mcf::{self, Demand, WarmRoutability};
 use std::sync::Mutex;
 
 /// Exact backend: system (2) for routability, the maximum-satisfied-demand
 /// LP for satisfaction.
 ///
-/// Cheap necessary conditions run first (endpoint connectivity, then
-/// per-demand single-commodity max flow), so an LP is only solved when
-/// the instance has a chance of being routable.
+/// A routability query runs [`mcf::certify`] first — components, then
+/// the sequential routing, then min-cut sides — and solves the LP only
+/// for what no certificate settles. Every verdict equals the LP's.
 ///
 /// The backend keeps a **per-generation [`WarmRoutability`] system**: consecutive routability
 /// queries against the same `(graph, demands)` instance are pure
@@ -66,13 +66,8 @@ impl RoutabilityOracle for ExactLp {
         if active.is_empty() {
             return Ok(true);
         }
-        if mcf::quick_unroutable(view, &active) {
-            return Ok(false);
-        }
-        for d in &active {
-            if maxflow::max_flow_value(view, d.source, d.target) < d.amount - 1e-9 {
-                return Ok(false);
-            }
+        if let Some(certificate) = mcf::certify(view, &active) {
+            return Ok(certificate.is_routable());
         }
         self.lp_solves.bump();
         let generation = super::generation_key_of(view.graph(), &active);
@@ -183,32 +178,61 @@ mod tests {
         assert_eq!(oracle.stats().lp_solves, 1);
     }
 
+    /// A triangle with one unit demand per pair. Routing each demand on
+    /// its own edge fits, but the sequential routing spreads the first
+    /// two demands over both of their paths and leaves the third none,
+    /// and no min-cut side is overloaded: only the LP settles it.
+    fn triangle() -> (Graph, [Demand; 3]) {
+        let mut g = Graph::with_nodes(3);
+        g.add_edge(g.node(0), g.node(1), 1.0).unwrap();
+        g.add_edge(g.node(1), g.node(2), 1.0).unwrap();
+        g.add_edge(g.node(0), g.node(2), 1.0).unwrap();
+        let demands = [
+            Demand::new(g.node(0), g.node(1), 1.0),
+            Demand::new(g.node(1), g.node(2), 1.0),
+            Demand::new(g.node(0), g.node(2), 1.0),
+        ];
+        (g, demands)
+    }
+
     #[test]
-    fn repeated_capacity_patched_queries_warm_start() {
+    fn certificates_settle_without_the_lp() {
         let g = line();
         let oracle = ExactLp::new();
-        // Two demands sharing edge 0: every query below survives the
-        // single-commodity prechecks, so each one reaches the LP.
+        // Two demands sharing edge 0: at [10, 10] the sequential routing
+        // fits; at [5, 5] the source side {0} of either demand's max flow
+        // carries 5 but is crossed by 6.
         let demands = [
             Demand::new(g.node(0), g.node(2), 3.0),
             Demand::new(g.node(0), g.node(1), 3.0),
         ];
-        // Same generation, different capacity states: later queries
-        // re-solve the same fixed-structure LP warm.
-        let caps = vec![10.0, 10.0];
-        assert!(oracle
-            .is_routable(&g.view().with_capacities(&caps), &demands)
-            .unwrap());
-        let caps = vec![6.0, 3.0];
-        assert!(oracle
-            .is_routable(&g.view().with_capacities(&caps), &demands)
-            .unwrap());
-        // Both prechecks pass (per-demand max flow ≥ 3) but the shared
-        // edge cannot carry 6: only the multicommodity LP can say no.
-        let caps = vec![5.0, 5.0];
-        assert!(!oracle
-            .is_routable(&g.view().with_capacities(&caps), &demands)
-            .unwrap());
+        for (caps, routable) in [(vec![10.0, 10.0], true), (vec![5.0, 5.0], false)] {
+            let view = g.view().with_capacities(&caps);
+            assert_eq!(oracle.is_routable(&view, &demands).unwrap(), routable);
+            assert_eq!(
+                mcf::routability(&view, &demands).unwrap().is_some(),
+                routable
+            );
+        }
+        assert_eq!(oracle.stats().lp_solves, 0, "{:?}", oracle.stats());
+        let (g, demands) = triangle();
+        assert!(mcf::certify(&g.view(), &demands).is_none());
+        assert!(oracle.is_routable(&g.view(), &demands).unwrap());
+        assert_eq!(oracle.stats().lp_solves, 1, "{:?}", oracle.stats());
+    }
+
+    #[test]
+    fn repeated_capacity_patched_queries_warm_start() {
+        let (g, demands) = triangle();
+        let oracle = ExactLp::new();
+        // Same generation, different capacity states that no certificate
+        // settles: later queries re-solve the same fixed-structure LP
+        // warm.
+        for caps in [[1.0, 1.0, 1.0], [1.2, 1.0, 1.0], [1.0, 1.2, 1.0]] {
+            let view = g.view().with_capacities(&caps);
+            assert!(mcf::certify(&view, &demands).is_none(), "{caps:?}");
+            assert!(oracle.is_routable(&view, &demands).unwrap());
+        }
         let stats = oracle.stats();
         assert_eq!(stats.lp_solves, 3, "{stats:?}");
         assert_eq!(stats.warm_start_hits, 2, "{stats:?}");
@@ -216,13 +240,17 @@ mod tests {
 
     #[test]
     fn generation_change_rebuilds_the_warm_system() {
-        let g = line();
+        let (g, demands) = triangle();
         let oracle = ExactLp::new();
-        let d4 = [Demand::new(g.node(0), g.node(2), 4.0)];
-        let d5 = [Demand::new(g.node(0), g.node(2), 5.0)];
-        assert!(oracle.is_routable(&g.view(), &d4).unwrap());
-        assert!(oracle.is_routable(&g.view(), &d5).unwrap());
+        let smaller = demands.map(|d| Demand::new(d.source, d.target, 0.9));
+        assert!(oracle.is_routable(&g.view(), &demands).unwrap());
+        assert!(oracle.is_routable(&g.view(), &smaller).unwrap());
         // New demand set = new generation: no warm basis to start from.
-        assert_eq!(oracle.stats().warm_start_hits, 0);
+        let stats = oracle.stats();
+        assert_eq!(
+            (stats.lp_solves, stats.warm_start_hits),
+            (2, 0),
+            "{stats:?}"
+        );
     }
 }

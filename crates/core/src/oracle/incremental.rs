@@ -279,8 +279,9 @@ impl RoutabilityOracle for IncrementalOracle {
             return Ok(false);
         }
         self.full_solves.bump();
-        // Cheap necessary condition first (mirrors `ExactLp`), then a
-        // warm re-solve of the fixed-structure system.
+        // The certificate tier first (as `ExactLp` runs it), then a warm
+        // re-solve of the fixed-structure system. Either way the answer
+        // is settled from scratch and recorded alike.
         let mask = q.edge_mask();
         let canon = graph.view().with_edge_mask(&mask).with_capacities(&q.caps);
         let active: Vec<Demand> = demands
@@ -288,13 +289,14 @@ impl RoutabilityOracle for IncrementalOracle {
             .copied()
             .filter(|d| d.amount > 1e-12 && d.source != d.target)
             .collect();
-        let answer = if mcf::quick_unroutable(&canon, &active) {
-            false
-        } else {
-            self.warm_lp_solves.bump();
-            st.warm_rout
-                .get_or_insert_with(|| WarmRoutability::build(graph, demands))
-                .solve(&q.caps)?
+        let answer = match mcf::certify(&canon, &active) {
+            Some(certificate) => certificate.is_routable(),
+            None => {
+                self.warm_lp_solves.bump();
+                st.warm_rout
+                    .get_or_insert_with(|| WarmRoutability::build(graph, demands))
+                    .solve(&q.caps)?
+            }
         };
         memo_insert(&mut st.memo_routable, key, answer);
         if answer {

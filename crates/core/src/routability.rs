@@ -52,7 +52,10 @@ mod tests {
             .build()
             .unwrap();
         assert!(small.is_routable(&g.view(), &fits).unwrap());
-        assert_eq!((small.stats().lp_solves, small.stats().approx_runs), (1, 0));
+        // The exact backend answers, from the sequential routing.
+        let stats = small.stats();
+        assert_eq!((stats.approx_runs, stats.boundary_fallbacks), (0, 0));
+        assert_eq!((stats.routability_queries, stats.lp_solves), (1, 0));
         let large = OracleBuilder::new(OracleSpec::Auto { threshold: 1 })
             .build()
             .unwrap();

@@ -1,14 +1,15 @@
-//! Property tests of the evaluation-oracle layer: the approximate
-//! backend is conservative w.r.t. the exact one, the cache decorator
-//! is observationally identical to its inner backend, and the
-//! precomputed-artifact front is answer-identical to the live exact
-//! backends no matter which states were swept offline.
+//! Property tests of the evaluation-oracle layer: the exact backends
+//! answer what the plain LP answers and their certificates pass the
+//! checker, the approximate backend is conservative w.r.t. the exact
+//! one, the cache decorator is observationally identical to its inner
+//! backend, and the precomputed-artifact front is answer-identical to
+//! the live exact backends no matter which states were swept offline.
 
 use netrec_core::oracle::artifact::ArtifactBuilder;
 use netrec_core::oracle::{Cached, ConcurrentFlowApprox, ExactLp, IncrementalOracle};
 use netrec_core::{ArtifactOracle, RoutabilityOracle, SatisfactionOracle};
-use netrec_graph::Graph;
-use netrec_lp::mcf::Demand;
+use netrec_graph::{maxflow, Graph};
+use netrec_lp::mcf::{self, Demand};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -183,6 +184,49 @@ proptest! {
             let b = exact.satisfied(&view, &demands).unwrap();
             let (ta, tb): (f64, f64) = (a.iter().sum(), b.iter().sum());
             prop_assert!((ta - tb).abs() < 1e-6, "totals diverge: {} vs {}", ta, tb);
+        }
+    }
+
+    /// The anchor under every other test here, which compare one
+    /// certificate-tiered backend with another: `ExactLp` and
+    /// `IncrementalOracle` answer what the plain LP answers, on demands
+    /// sized at, just under and just over each one's own max flow, and
+    /// every certificate the tier returns passes the checker and proves
+    /// the LP's verdict. The max flow is measured on the masked view or
+    /// on the intact graph, so disconnected demands occur too.
+    #[test]
+    fn certified_backends_answer_what_the_lp_answers(
+        g in arb_graph(),
+        mask_bits in proptest::collection::vec(any::<bool>(), 1..24),
+        pairs in proptest::collection::vec((0usize..10, 0usize..10, 0usize..5), 1..5),
+        sized_on_view in any::<bool>(),
+    ) {
+        const FACTORS: [f64; 5] = [0.5, 1.0 - 1e-3, 1.0, 1.0 + 1e-3, 1.5];
+        let n = g.node_count();
+        // An edge drops when its bit is set, except every third edge.
+        let edge_mask: Vec<bool> = (0..g.edge_count())
+            .map(|e| !mask_bits[e % mask_bits.len()] || e % 3 == 0)
+            .collect();
+        let view = g.view().with_edge_mask(&edge_mask);
+        let sizing = if sized_on_view { view } else { g.view() };
+        let demands: Vec<Demand> = pairs
+            .iter()
+            .map(|&(s, t, f)| {
+                let (s, t) = (g.node(s % n), g.node(t % n));
+                Demand::new(s, t, maxflow::max_flow_value(&sizing, s, t) * FACTORS[f])
+            })
+            .collect();
+        let lp = mcf::routability(&view, &demands).unwrap().is_some();
+        prop_assert_eq!(ExactLp::new().is_routable(&view, &demands).unwrap(), lp);
+        prop_assert_eq!(IncrementalOracle::new().is_routable(&view, &demands).unwrap(), lp);
+        let active: Vec<Demand> = demands
+            .iter()
+            .copied()
+            .filter(|d| d.amount > 0.0 && d.source != d.target)
+            .collect();
+        if let Some(certificate) = mcf::certify(&view, &active) {
+            prop_assert!(certificate.check(&view, &active), "{:?}", certificate);
+            prop_assert_eq!(certificate.is_routable(), lp);
         }
     }
 

@@ -29,11 +29,12 @@ pub fn supply_cut(view: &View<'_>, in_set: &[bool]) -> Vec<EdgeId> {
         .collect()
 }
 
-/// Total capacity crossing the cut determined by `U`.
+/// Total capacity crossing the cut determined by `U`. A non-positive
+/// capacity carries nothing and counts as zero.
 pub fn cut_capacity(view: &View<'_>, in_set: &[bool]) -> f64 {
     supply_cut(view, in_set)
         .into_iter()
-        .map(|e| view.capacity(e))
+        .map(|e| view.capacity(e).max(0.0))
         .sum()
 }
 

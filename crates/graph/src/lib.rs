@@ -18,6 +18,9 @@
 //! * [`traversal`] — BFS/DFS, connectivity, hop distances and diameter.
 //! * [`cut`] — supply/demand cuts and the surplus function used in the
 //!   termination proof of ISP.
+//! * [`certificate`] — checks of routability certificates (a routing, a
+//!   disconnected demand, an overloaded cut) that share no code with the
+//!   LP.
 //! * [`path`] — the [`Path`] type (a list of edges) with length/capacity
 //!   helpers and simple-path enumeration for the greedy heuristics.
 //!
@@ -47,6 +50,7 @@ mod graph;
 mod ids;
 mod view;
 
+pub mod certificate;
 pub mod cut;
 pub mod dijkstra;
 pub mod maxflow;

@@ -195,6 +195,68 @@ pub fn max_flow_value(view: &View<'_>, source: NodeId, sink: NodeId) -> f64 {
     SCRATCH.with(|scratch| scratch.borrow_mut().solve(view, source, sink))
 }
 
+/// The two sides of a minimum cut, read off the residual graph of one
+/// Dinic run ([`min_cut_sides`]).
+#[derive(Debug, Clone)]
+pub struct CutSides {
+    /// The flow value: the capacity crossing either side.
+    pub value: f64,
+    /// `source_side[v]`: whether `v` is reachable from the source in the
+    /// residual graph.
+    pub source_side: Vec<bool>,
+    /// `sink_side[v]`: whether the sink is reachable from `v` in the
+    /// residual graph.
+    pub sink_side: Vec<bool>,
+}
+
+/// The maximum `source`→`sink` flow value with both sides of a minimum
+/// cut: the nodes the source still reaches in the residual graph, and
+/// the nodes that still reach the sink. Each side holds its own
+/// terminal and not the other one, and the enabled capacity crossing it
+/// is the flow value (up to rounding).
+///
+/// Equal or masked terminals have no flow to run; the sides are then
+/// the singletons `{source}` and `{sink}`.
+pub fn min_cut_sides(view: &View<'_>, source: NodeId, sink: NodeId) -> CutSides {
+    let n = view.node_count();
+    let mut sides = CutSides {
+        value: 0.0,
+        source_side: vec![false; n],
+        sink_side: vec![false; n],
+    };
+    if is_zero_flow(view, source, sink) {
+        sides.source_side[source.index()] = true;
+        sides.sink_side[sink.index()] = true;
+        return sides;
+    }
+    SCRATCH.with(|scratch| {
+        let s = &mut *scratch.borrow_mut();
+        sides.value = s.solve(view, source, sink);
+        // The run ends on a BFS that did not reach the sink, so it
+        // labelled every node the source reaches on residual arcs.
+        for (side, &level) in sides.source_side.iter_mut().zip(&s.level) {
+            *side = level != NONE;
+        }
+        // Backwards from the sink: `x` reaches `w` when the arc x→w,
+        // the reverse `a ^ 1` of an arc `a` leaving `w`, has residual.
+        sides.sink_side[sink.index()] = true;
+        s.queue.clear();
+        s.queue.push_back(sink.index() as u32);
+        while let Some(w) = s.queue.pop_front() {
+            let mut a = s.arcs.first[w as usize];
+            while a != NONE {
+                let x = s.arcs.head[a as usize] as usize;
+                if s.arcs.cap[(a ^ 1) as usize] > 1e-12 && !sides.sink_side[x] {
+                    sides.sink_side[x] = true;
+                    s.queue.push_back(x as u32);
+                }
+                a = s.arcs.next[a as usize];
+            }
+        }
+    });
+    sides
+}
+
 /// Whether the flow is zero without a search: equal or masked terminals.
 fn is_zero_flow(view: &View<'_>, source: NodeId, sink: NodeId) -> bool {
     source == sink || !view.node_enabled(source) || !view.node_enabled(sink)
@@ -486,6 +548,35 @@ mod tests {
         g.add_edge(g.node(0), g.node(1), 2.0).unwrap();
         g.add_edge(g.node(0), g.node(1), 3.0).unwrap();
         assert_eq!(max_flow_value(&g.view(), g.node(0), g.node(1)), 5.0);
+    }
+
+    #[test]
+    fn min_cut_sides_hold_their_terminal_and_carry_the_flow_value() {
+        let g = classic();
+        let sides = min_cut_sides(&g.view(), g.node(0), g.node(3));
+        assert!((sides.value - 5.0).abs() < 1e-9);
+        for side in [&sides.source_side, &sides.sink_side] {
+            assert!((crate::cut::cut_capacity(&g.view(), side) - sides.value).abs() < 1e-9);
+        }
+        assert!(sides.source_side[0] && !sides.source_side[3]);
+        assert!(sides.sink_side[3] && !sides.sink_side[0]);
+    }
+
+    #[test]
+    fn min_cut_sides_of_a_bottleneck_split_at_it() {
+        // 0 -(7)- 1 -(4)- 2: the 1-2 edge is the only minimum cut.
+        let mut g = Graph::with_nodes(3);
+        g.add_edge(g.node(0), g.node(1), 7.0).unwrap();
+        g.add_edge(g.node(1), g.node(2), 4.0).unwrap();
+        let sides = min_cut_sides(&g.view(), g.node(0), g.node(2));
+        assert_eq!(sides.value, 4.0);
+        assert_eq!(sides.source_side, vec![true, true, false]);
+        assert_eq!(sides.sink_side, vec![false, false, true]);
+        let masked = vec![true, true, false];
+        let sides = min_cut_sides(&g.view().with_node_mask(&masked), g.node(0), g.node(2));
+        assert_eq!(sides.value, 0.0);
+        assert_eq!(sides.source_side, vec![true, false, false]);
+        assert_eq!(sides.sink_side, vec![false, false, true]);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use crate::problem::{LinTerm, LpProblem, Relation, Sense, VarId};
 use crate::{revised, simplex, LpEngine, LpError, LpStatus};
-use netrec_graph::{maxflow, traversal, EdgeId, Graph, NodeId, View};
+use netrec_graph::{certificate, maxflow, traversal, EdgeId, Graph, NodeId, View};
 use std::cmp::{Ordering, Reverse};
 
 /// A demand pair `(s_h, t_h)` with its flow requirement `d_h`.
@@ -249,14 +249,129 @@ fn decode_flows(view: &View<'_>, vars: &McfVars, values: &[f64], h_count: usize)
 /// One component labelling of `view`, made at the first positive demand
 /// with enabled endpoints, answers connectivity for every demand.
 pub fn quick_unroutable(view: &View<'_>, demands: &[Demand]) -> bool {
+    // A masked endpoint counts even for a demand from a node to itself.
+    demands
+        .iter()
+        .any(|d| d.amount > 0.0 && (!view.node_enabled(d.source) || !view.node_enabled(d.target)))
+        || disconnected_demand(view, demands).is_some()
+}
+
+/// The index of the first positive demand between distinct endpoints
+/// that are masked or in different components of `view`.
+fn disconnected_demand(view: &View<'_>, demands: &[Demand]) -> Option<usize> {
     let mut component: Option<Vec<usize>> = None;
-    demands.iter().filter(|d| d.amount > 0.0).any(|d| {
+    demands.iter().position(|d| {
+        if d.amount <= 0.0 || d.source == d.target {
+            return false;
+        }
         if !view.node_enabled(d.source) || !view.node_enabled(d.target) {
             return true;
         }
         let component = component.get_or_insert_with(|| traversal::connected_components(view).0);
         component[d.source.index()] != component[d.target.index()]
     })
+}
+
+/// A proof that settles a routability question without the LP
+/// ([`certify`]), checked by [`netrec_graph::certificate`].
+#[derive(Debug, Clone)]
+pub enum Certificate {
+    /// `demands[h]` has a masked endpoint or endpoints in different
+    /// components: unroutable.
+    Disconnected(usize),
+    /// A feasible multicommodity flow, `flow[h]` routing `demands[h]`:
+    /// routable.
+    Routing(FlowAssignment),
+    /// A node set, `in_set[v]` marking its members, crossed by more than
+    /// [`certificate::CUT_MARGIN`] more demand than capacity: unroutable.
+    Cut(Vec<bool>),
+}
+
+impl Certificate {
+    /// The verdict the certificate proves.
+    pub fn is_routable(&self) -> bool {
+        matches!(self, Certificate::Routing(_))
+    }
+
+    /// Whether the checker accepts the certificate for `demands` on
+    /// `view`.
+    pub fn check(&self, view: &View<'_>, demands: &[Demand]) -> bool {
+        match self {
+            Certificate::Disconnected(h) => demands
+                .get(*h)
+                .is_some_and(|d| certificate::disconnected(view, &(d.source, d.target, d.amount))),
+            Certificate::Routing(flows) => flows.routes(view, demands),
+            Certificate::Cut(in_set) => {
+                in_set.len() == view.node_count()
+                    && certificate::cut_overloaded(view, in_set, &triples(demands))
+            }
+        }
+    }
+}
+
+impl FlowAssignment {
+    /// Whether this assignment routes `demands` on `view`, by the
+    /// checker [`certificate::routes_exactly`].
+    pub fn routes(&self, view: &View<'_>, demands: &[Demand]) -> bool {
+        certificate::routes_exactly(view, &triples(demands), &self.flow)
+    }
+}
+
+fn triples(demands: &[Demand]) -> Vec<(NodeId, NodeId, f64)> {
+    demands
+        .iter()
+        .map(|d| (d.source, d.target, d.amount))
+        .collect()
+}
+
+/// Settles whether `view` can route `demands` without the LP, when a
+/// cheap proof exists. Three tiers, cheapest first:
+///
+/// 1. **Components.** A positive demand with a masked endpoint, or with
+///    endpoints in different components, is unroutable
+///    ([`quick_unroutable`]).
+/// 2. **The sequential routing.** If [`route_sequentially`] fits every
+///    demand, its flows are a feasible multicommodity flow: routable.
+/// 3. **Min-cut sides.** For each positive demand, the source side and
+///    the sink side of a minimum cut of its own max flow on `view`
+///    ([`maxflow::min_cut_sides`]). If the demand crossing one of them
+///    exceeds its capacity by more than [`certificate::CUT_MARGIN`], the
+///    instance is unroutable. Any node set is a sound cut; the residual
+///    graph only chooses which sets to test. A demand more than the
+///    margin above its own max flow always overloads its source side.
+///
+/// `None` leaves the question to the LP. A `Some` answers what
+/// [`routability`] answers: a routing is a solution of system (2), and
+/// the cut margin sits above the simplex's feasibility tolerance. Debug
+/// builds check every certificate before returning it.
+pub fn certify(view: &View<'_>, demands: &[Demand]) -> Option<Certificate> {
+    let certificate = if let Some(h) = disconnected_demand(view, demands) {
+        Some(Certificate::Disconnected(h))
+    } else if let Some(flows) = route_sequentially(view, demands) {
+        Some(Certificate::Routing(flows))
+    } else {
+        overloaded_cut(view, demands).map(Certificate::Cut)
+    };
+    debug_assert!(
+        certificate.as_ref().is_none_or(|c| c.check(view, demands)),
+        "the checker rejects a certificate: {certificate:?}"
+    );
+    certificate
+}
+
+/// Tier 3 of [`certify`]: the first min-cut side of a positive demand
+/// that is crossed by too much demand.
+fn overloaded_cut(view: &View<'_>, demands: &[Demand]) -> Option<Vec<bool>> {
+    let asked = triples(demands);
+    demands
+        .iter()
+        .filter(|d| d.amount > 0.0 && d.source != d.target)
+        .find_map(|d| {
+            let sides = maxflow::min_cut_sides(view, d.source, d.target);
+            [sides.source_side, sides.sink_side]
+                .into_iter()
+                .find(|side| certificate::cut_overloaded(view, side, &asked))
+        })
 }
 
 /// The routability test — system (2) of the paper.

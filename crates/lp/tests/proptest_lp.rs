@@ -4,71 +4,12 @@
 //! sequential-routing certificate of the Decision-2 split, cold and
 //! warm, and the split LP against the per-demand routability LP.
 
-use netrec_graph::{traversal, Graph, View};
+use netrec_graph::{traversal, Graph};
 use netrec_lp::concurrent::{max_concurrent_flow, ConcurrentFlowConfig};
-use netrec_lp::mcf::{self, Demand, FlowAssignment};
+use netrec_lp::mcf::{self, Demand};
 use netrec_lp::milp::{self, BranchBoundConfig};
 use netrec_lp::{simplex, LpEngine, LpProblem, LpStatus, Relation, Sense};
 use proptest::prelude::*;
-
-/// Checks `flows` against `demands` on `view` without any LP: each
-/// demand's net outflow is its amount at the source, minus it at the
-/// target and zero elsewhere, and the summed |flow| on every edge stays
-/// within its capacity (zero on masked edges). Returns the first
-/// violation.
-fn check_flow(
-    view: &View<'_>,
-    demands: &[Demand],
-    flows: &FlowAssignment,
-    tol: f64,
-) -> Result<(), String> {
-    let g = view.graph();
-    if flows.flow.len() != demands.len() {
-        return Err(format!(
-            "{} flows for {} demands",
-            flows.flow.len(),
-            demands.len()
-        ));
-    }
-    for (k, (d, f)) in demands.iter().zip(&flows.flow).enumerate() {
-        let amount = if d.amount > 0.0 && d.source != d.target {
-            d.amount
-        } else {
-            0.0
-        };
-        for v in g.nodes() {
-            let mut out = 0.0;
-            for (e, _) in g.neighbors(v) {
-                let (u, _) = g.endpoints(e);
-                out += if v == u { f[e.index()] } else { -f[e.index()] };
-            }
-            let want = if v == d.source {
-                amount
-            } else if v == d.target {
-                -amount
-            } else {
-                0.0
-            };
-            if (out - want).abs() > tol {
-                return Err(format!(
-                    "demand {k} at {v:?}: net outflow {out}, want {want}"
-                ));
-            }
-        }
-    }
-    for e in g.edges() {
-        let cap = if view.edge_enabled(e) {
-            view.capacity(e)
-        } else {
-            0.0
-        };
-        let load = flows.edge_load(e);
-        if load > cap + tol {
-            return Err(format!("{e:?}: load {load} over capacity {cap}"));
-        }
-    }
-    Ok(())
-}
 
 /// A graph on `n` nodes from drawn `(u, v, capacity)` triples: loops are
 /// dropped, and thin draws become broken (zero-capacity) edges.
@@ -287,9 +228,7 @@ proptest! {
         let routed = mcf::route_sequentially(&view, &at_bound);
         prop_assume!(routed.is_some() && bound > 0.0);
         let flows = routed.unwrap();
-        if let Err(why) = check_flow(&view, &at_bound, &flows, 1e-9) {
-            prop_assert!(false, "certificate flows are infeasible: {}", why);
-        }
+        prop_assert!(flows.routes(&view, &at_bound), "certificate flows are infeasible: {:?}", flows);
         for engine in [LpEngine::Revised, LpEngine::Dense] {
             prop_assert!(
                 mcf::routability_with(&view, &at_bound, engine).unwrap().is_some(),
@@ -351,9 +290,7 @@ proptest! {
             router.keep(&before, prior);
         }
         if let Some(flows) = router.route(&view, &at_bound) {
-            if let Err(why) = check_flow(&view, &at_bound, &flows, 1e-9) {
-                prop_assert!(false, "warm routing is infeasible: {}", why);
-            }
+            prop_assert!(flows.routes(&view, &at_bound), "warm routing is infeasible: {:?}", flows);
             if bound > 0.0 {
                 let dx = mcf::split_lp(&view, &demands, h, via, cap).unwrap();
                 prop_assert!(

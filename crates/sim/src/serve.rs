@@ -830,6 +830,59 @@ mod tests {
     }
 
     #[test]
+    fn committed_stream_opens_with_queries_no_lp_settles() {
+        // The first four requests of the committed serve stream, on the
+        // instance its goldens are recorded for: r002 asks about the
+        // default session with edges 7 and 10 down, r004 about the `ops`
+        // session with edges 23, 31 and 35 down.
+        let opts = parse_args(&args(&[
+            "--topology",
+            "bell",
+            "--pairs",
+            "4",
+            "--flow",
+            "10",
+            "--seed",
+            "42",
+        ]))
+        .unwrap();
+        let (engine, _) = boot_engine(&opts).unwrap();
+        let base = Arc::clone(engine.base());
+        let events = include_str!("../../../examples/serve/events.jsonl");
+        let head: String = events.lines().take(4).map(|l| format!("{l}\n")).collect();
+        let (out, _) = run_stream(engine, 1, &head);
+        let replies: Vec<&str> = out.lines().collect();
+        for (reply, id, routable) in [(replies[1], "r002", false), (replies[3], "r004", true)] {
+            assert!(reply.contains(&format!("\"id\":\"{id}\"")), "{reply}");
+            assert!(
+                reply.contains(&format!("\"routable\":{routable}")),
+                "{reply}"
+            );
+            assert!(reply.contains("\"lp_solves\":0"), "{reply}");
+            assert!(reply.contains("\"full_solves\":1"), "{reply}");
+            assert!(
+                reply.contains("\"answer_source\":\"full_solve\""),
+                "{reply}"
+            );
+        }
+        // What settles them: a min-cut side for r002, the sequential
+        // routing for r004.
+        let demands = base.demands();
+        for (broken, routable) in [(&[7, 10][..], false), (&[23, 31, 35][..], true)] {
+            let mut mask = vec![true; base.graph().edge_count()];
+            for &e in broken {
+                mask[e] = false;
+            }
+            let view = base.full_view().with_edge_mask(&mask);
+            match netrec_lp::mcf::certify(&view, &demands) {
+                Some(netrec_lp::mcf::Certificate::Cut(_)) => assert!(!routable),
+                Some(netrec_lp::mcf::Certificate::Routing(_)) => assert!(routable),
+                other => panic!("edges {broken:?} down: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn booted_engine_serves_the_loaded_topology() {
         let opts = parse_args(&args(&[
             "--topology",

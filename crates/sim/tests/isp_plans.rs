@@ -20,12 +20,18 @@
 //!   done > isp_plans.golden.new
 //! ```
 //!
-//! Since then the golden was regenerated once, by the same command, for
-//! its counters only: when ISP's feasibility precheck began to answer by
-//! a routing certificate instead of the oracle (DESIGN.md §17, "Warm
-//! routing and the precheck certificate"), each of the 25 `oracle
-//! stats:` lines fell by exactly one query and one LP solve, and no
-//! other line changed.
+//! Since then the golden was regenerated twice, by the same command, for
+//! its counters only:
+//!
+//! * when ISP's feasibility precheck began to answer by a routing
+//!   certificate instead of the oracle (DESIGN.md §17, "Warm routing and
+//!   the precheck certificate"), each of the 25 `oracle stats:` lines
+//!   fell by exactly one query and one LP solve;
+//! * when the exact oracles began to settle routability by a certificate
+//!   tier before the LP (DESIGN.md §2), the 8 lines that counted one LP
+//!   solve fell to 0 LP solves.
+//!
+//! No other line changed either time.
 //!
 //! A mismatch means a plan changed. Regenerating the golden to make it
 //! pass would hide exactly what this test exists to catch.
