@@ -55,9 +55,9 @@ fn bench(c: &mut Criterion) {
         b.iter(|| solve_isp(black_box(&problem), &config).unwrap())
     });
     g.bench_function("isp_approx", |b| {
+        // Threshold 0: every query goes to Garg–Könemann.
         let config = IspConfig {
-            oracle: OracleSpec::Approx { epsilon: 0.05 },
-            exact_split_lp: false,
+            oracle: OracleSpec::Auto { threshold: 0 },
             ..Default::default()
         };
         b.iter(|| solve_isp(black_box(&problem), &config).unwrap())
@@ -80,6 +80,7 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("approx", n), &problem, |b, p| {
             b.iter(|| {
                 ConcurrentFlowApprox::new(0.05)
+                    .with_fallback_limit(0)
                     .is_routable(black_box(&p.full_view()), black_box(&demands))
                     .unwrap()
             })

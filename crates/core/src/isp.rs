@@ -65,18 +65,17 @@ pub struct IspConfig {
     /// (feasibility precheck, loop termination, halving-search splits).
     /// Defaults to [`OracleSpec::Auto`] at [`DEFAULT_SIZE_THRESHOLD`]:
     /// the exact LP on small instances, the conservative concurrent-flow
-    /// approximation above the threshold. A [`SolveContext`] oracle
-    /// override supersedes it.
+    /// approximation above the threshold. Decision 2 takes the exact
+    /// split where the oracle answers exactly
+    /// ([`OracleSpec::uses_exact_split`]) and a halving search against
+    /// the oracle elsewhere. A [`SolveContext`] oracle override
+    /// supersedes it.
     pub oracle: OracleSpec,
     /// How many top-centrality candidates to try per iteration before
     /// falling back to a forced repair.
     pub split_candidates: usize,
     /// Hard iteration guard; `None` derives `20·(|V|+|E|) + 100·|EH|`.
     pub max_iterations: Option<usize>,
-    /// Use the exact Decision-2 LP when the oracle answers exactly for
-    /// the instance's size ([`OracleSpec::uses_exact_split`]); otherwise
-    /// determine `dx` by halving search with the routability oracle.
-    pub exact_split_lp: bool,
 }
 
 impl Default for IspConfig {
@@ -89,7 +88,6 @@ impl Default for IspConfig {
             },
             split_candidates: 8,
             max_iterations: None,
-            exact_split_lp: true,
         }
     }
 }
@@ -333,10 +331,9 @@ fn split_step(
     let centrality = centrality(state, config);
     let full = state.full_view();
     let ranking = centrality.ranking();
-    // The exact answer when configured and small enough for the oracle
-    // to answer exactly, the halving search otherwise.
-    let exact = config.exact_split_lp
-        && spec.uses_exact_split(full.enabled_edges().count(), state.demands.len() + 2);
+    // The exact answer where the oracle answers exactly, the halving
+    // search otherwise.
+    let exact = spec.uses_exact_split(full.enabled_edges().count(), state.demands.len() + 2);
 
     for &vbc in ranking.iter().take(config.split_candidates.max(1)) {
         let contributors = centrality.contributors(vbc, &state.demands, &full);
@@ -584,13 +581,15 @@ mod tests {
     #[test]
     fn approximate_mode_still_produces_feasible_plans() {
         let p = broken_square(8.0);
+        // Threshold 0: every question with a demand goes to Garg–Könemann,
+        // and Decision 2 to the halving search.
         let config = IspConfig {
-            oracle: crate::OracleSpec::Approx { epsilon: 0.05 },
-            exact_split_lp: false,
+            oracle: crate::OracleSpec::Auto { threshold: 0 },
             ..Default::default()
         };
-        let plan = solve_isp(&p, &config).unwrap();
+        let (plan, stats) = solve_isp_with_stats(&p, &config).unwrap();
         assert!(plan.verify_routable(&p).unwrap());
+        assert!(stats.oracle.approx_runs > 0, "{:?}", stats.oracle);
     }
 
     #[test]
@@ -598,8 +597,8 @@ mod tests {
         let p = broken_square(8.0);
         for spec in [
             crate::OracleSpec::CachedExact,
-            crate::OracleSpec::Approx { epsilon: 0.05 },
-            crate::OracleSpec::CachedApprox { epsilon: 0.05 },
+            crate::OracleSpec::Exact,
+            crate::OracleSpec::Auto { threshold: 0 },
         ] {
             let config = IspConfig {
                 oracle: spec.clone(),
@@ -609,7 +608,7 @@ mod tests {
             assert!(plan.verify_routable(&p).unwrap(), "{spec}");
             assert!(stats.oracle.queries() > 0, "{spec}: {:?}", stats.oracle);
             match spec {
-                crate::OracleSpec::CachedExact | crate::OracleSpec::CachedApprox { .. } => {
+                crate::OracleSpec::CachedExact => {
                     assert_eq!(
                         stats.oracle.cache_hits + stats.oracle.cache_misses,
                         stats.oracle.queries(),

@@ -23,8 +23,9 @@
 //! * `all` — repair everything (the ALL baseline; [`heuristics::all`]).
 //!
 //! All solvers answer their routability / satisfied-demand questions
-//! through the pluggable [`oracle`] layer (exact LP, conservative
-//! concurrent-flow approximation, a memoizing cache, or the
+//! through the pluggable [`oracle`] layer (exact LP, `auto`: the exact
+//! LP on small instances and a conservative concurrent-flow
+//! approximation on large ones, a memoizing cache, or the
 //! warm-starting incremental backend `--oracle incremental` — see
 //! `DESIGN.md`),
 //! and every run threads a [`solver::SolveContext`] carrying the oracle

@@ -1,4 +1,5 @@
-//! The concurrent-flow approximate oracle backend.
+//! The size-switching `auto` backend: the exact LP on small instances,
+//! the Garg–Könemann concurrent-flow approximation on large ones.
 
 use super::{Counter, EvalOracle, ExactLp, OracleStats, RoutabilityOracle, SatisfactionOracle};
 use crate::RecoveryError;
@@ -6,23 +7,27 @@ use netrec_graph::{maxflow, traversal, View};
 use netrec_lp::concurrent::{self, ConcurrentFlowConfig};
 use netrec_lp::mcf::{self, Demand};
 
-/// Approximate backend built on the Garg–Könemann maximum-concurrent-flow
-/// algorithm, with an exact-LP fast path below the size threshold where
-/// exact answers are both affordable and strictly better.
+/// The backend behind [`OracleSpec::Auto`](super::OracleSpec::Auto):
+/// [`ExactLp`] at or below a size limit on `|E| · |EH|`, the
+/// Garg–Könemann maximum-concurrent-flow algorithm above it.
 ///
-/// With threshold-mode early termination
-/// ([`concurrent::max_concurrent_flow_threshold`]) Garg–Könemann now
-/// answers clearly-feasible queries in a phase or two (~7 µs on the Bell
-/// routability query, `BENCH_routability.json`), but its *near-boundary*
-/// behavior is unchanged: a λ ≈ 1 query runs the full `O(ε⁻²)` phase
-/// schedule and then answers a conservative "unroutable", which costs
-/// the caller extra repairs. Queries at or below
-/// [`the size limit`](Self::with_fallback_limit) therefore go straight to
-/// the (revised-simplex) exact LP — affordable at this size, never
-/// conservative.
+/// The limit ([`with_fallback_limit`](Self::with_fallback_limit),
+/// default [`DEFAULT_SIZE_THRESHOLD`](super::DEFAULT_SIZE_THRESHOLD))
+/// applies ISP's rule
+/// ([`OracleSpec::uses_exact_split`](super::OracleSpec::uses_exact_split))
+/// to the enabled edges and the positive-amount demands, so at or below
+/// it every answer is [`ExactLp`]'s, certificate tier included. With
+/// threshold-mode early termination
+/// ([`concurrent::max_concurrent_flow_threshold`]) Garg–Könemann answers
+/// clearly-feasible queries in a phase or two, but a λ ≈ 1 query runs
+/// the full `O(ε⁻²)` phase schedule and then answers a conservative
+/// "unroutable", which costs the caller extra repairs. Hence the exact
+/// side wherever the LP is affordable.
 ///
-/// Above the limit the approximation runs. It certifies a lower bound
-/// `λ_lower ≤ λ*` and implies an upper bound
+/// Above the limit the approximation runs, after two cheap screens (a
+/// disconnected demand, one demand above its own max flow) and a second
+/// look at the limit with only the demands left connected. It certifies
+/// a lower bound `λ_lower ≤ λ*` and implies an upper bound
 /// `λ_upper = λ_lower / (1 − 3ε)`:
 ///
 /// * `λ_lower ≥ 1` — a feasible routing of the full demand exists:
@@ -36,7 +41,7 @@ use netrec_lp::mcf::{self, Demand};
 pub struct ConcurrentFlowApprox {
     epsilon: f64,
     fallback_limit: usize,
-    fallback: ExactLp,
+    exact: ExactLp,
     routability_queries: Counter,
     satisfaction_queries: Counter,
     approx_runs: Counter,
@@ -51,11 +56,6 @@ impl Default for ConcurrentFlowApprox {
 }
 
 impl ConcurrentFlowApprox {
-    /// Default exact-LP fast-path limit: aligned with the
-    /// [`OracleSpec::Auto`](super::OracleSpec::Auto) default threshold —
-    /// the measured size below which the exact LP beats Garg–Könemann.
-    pub const DEFAULT_FALLBACK_LIMIT: usize = super::DEFAULT_SIZE_THRESHOLD;
-
     /// Per-demand Dinic precheck budget on `|E| · |EH|`. Below it every
     /// demand gets an exact single-commodity max-flow screen (cheap, and
     /// it rejects per-demand overloads before the expensive full
@@ -65,12 +65,12 @@ impl ConcurrentFlowApprox {
     /// the concurrent-flow certificates are consulted.
     pub const PRECHECK_BUDGET: usize = 1 << 22;
 
-    /// A backend with accuracy `epsilon` and the default exact-path limit.
+    /// A backend with accuracy `epsilon` and the default size limit.
     pub fn new(epsilon: f64) -> Self {
         ConcurrentFlowApprox {
             epsilon,
-            fallback_limit: Self::DEFAULT_FALLBACK_LIMIT,
-            fallback: ExactLp::new(),
+            fallback_limit: super::DEFAULT_SIZE_THRESHOLD,
+            exact: ExactLp::new(),
             routability_queries: Counter::default(),
             satisfaction_queries: Counter::default(),
             approx_runs: Counter::default(),
@@ -80,32 +80,28 @@ impl ConcurrentFlowApprox {
     }
 
     /// Overrides the `|E| · |EH|` size limit at or under which queries go
-    /// straight to the exact LP instead of the approximation (0 forces
-    /// the approximation everywhere, `usize::MAX` the exact LP
-    /// everywhere).
+    /// to the exact LP instead of the approximation (0 forces the
+    /// approximation on every query with a demand, `usize::MAX` the exact
+    /// LP everywhere).
     pub fn with_fallback_limit(mut self, limit: usize) -> Self {
         self.fallback_limit = limit;
         self
     }
 
-    /// The configured accuracy parameter.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn in_fallback_budget(&self, view: &View<'_>, active: usize) -> bool {
-        view.enabled_edges().count() * active <= self.fallback_limit
+    fn in_fallback_budget(&self, view: &View<'_>, demands: usize) -> bool {
+        super::answers_exactly(self.fallback_limit, view.enabled_edges().count(), demands)
     }
 }
 
 impl RoutabilityOracle for ConcurrentFlowApprox {
     fn is_routable(&self, view: &View<'_>, demands: &[Demand]) -> Result<bool, RecoveryError> {
         self.routability_queries.bump();
-        let active: Vec<Demand> = demands
-            .iter()
-            .copied()
-            .filter(|d| d.amount > 1e-12 && d.source != d.target)
-            .collect();
+        let positive = demands.iter().filter(|d| d.amount > 0.0).count();
+        if self.in_fallback_budget(view, positive) {
+            self.boundary_fallbacks.bump();
+            return self.exact.is_routable(view, demands);
+        }
+        let active: Vec<Demand> = demands.iter().copied().filter(Demand::is_active).collect();
         if active.is_empty() {
             return Ok(true);
         }
@@ -121,11 +117,9 @@ impl RoutabilityOracle for ConcurrentFlowApprox {
                 }
             }
         }
-        // Small instances: exact answers are affordable and never
-        // conservative — use the LP directly.
         if self.in_fallback_budget(view, active.len()) {
             self.boundary_fallbacks.bump();
-            return self.fallback.is_routable(view, &active);
+            return self.exact.is_routable(view, &active);
         }
         self.approx_runs.bump();
         // Threshold query with early termination: the oracle only needs
@@ -150,12 +144,17 @@ impl RoutabilityOracle for ConcurrentFlowApprox {
 impl SatisfactionOracle for ConcurrentFlowApprox {
     fn satisfied(&self, view: &View<'_>, demands: &[Demand]) -> Result<Vec<f64>, RecoveryError> {
         self.satisfaction_queries.bump();
+        let positive = demands.iter().filter(|d| d.amount > 0.0).count();
+        if self.in_fallback_budget(view, positive) {
+            self.boundary_fallbacks.bump();
+            return self.exact.satisfied(view, demands);
+        }
         // Follow max_satisfied conventions: zero/degenerate demands count
         // as fully satisfied; disconnected ones as zero.
         let mut satisfied: Vec<f64> = demands.iter().map(|d| d.amount.max(0.0)).collect();
         let mut connected_idx: Vec<usize> = Vec::new();
         for (i, d) in demands.iter().enumerate() {
-            if d.amount <= 0.0 || d.source == d.target {
+            if !d.is_active() {
                 continue;
             }
             if view.node_enabled(d.source)
@@ -171,10 +170,9 @@ impl SatisfactionOracle for ConcurrentFlowApprox {
             return Ok(satisfied);
         }
         let connected: Vec<Demand> = connected_idx.iter().map(|&i| demands[i]).collect();
-        // Small instances: exact answers, faster than the approximation.
         if self.in_fallback_budget(view, connected.len()) {
             self.boundary_fallbacks.bump();
-            return self.fallback.satisfied(view, demands);
+            return self.exact.satisfied(view, demands);
         }
         self.approx_runs.bump();
         let config = ConcurrentFlowConfig {
@@ -200,15 +198,16 @@ impl SatisfactionOracle for ConcurrentFlowApprox {
 
 impl EvalOracle for ConcurrentFlowApprox {
     fn name(&self) -> String {
-        format!("approx:{}", self.epsilon)
+        format!("auto:{}", self.fallback_limit)
     }
 
     fn stats(&self) -> OracleStats {
-        let inner = self.fallback.stats();
+        let exact = self.exact.stats();
         OracleStats {
             routability_queries: self.routability_queries.get(),
             satisfaction_queries: self.satisfaction_queries.get(),
-            lp_solves: inner.lp_solves,
+            lp_solves: exact.lp_solves,
+            warm_start_hits: exact.warm_start_hits,
             approx_runs: self.approx_runs.get(),
             boundary_fallbacks: self.boundary_fallbacks.get(),
             threshold_certified: self.threshold_certified.get(),
@@ -222,7 +221,7 @@ impl EvalOracle for ConcurrentFlowApprox {
         self.approx_runs.reset();
         self.boundary_fallbacks.reset();
         self.threshold_certified.reset();
-        self.fallback.reset_stats();
+        self.exact.reset_stats();
     }
 }
 
@@ -243,22 +242,26 @@ mod tests {
     #[test]
     fn small_instances_use_the_exact_lp_directly() {
         let g = square();
-        let oracle = ConcurrentFlowApprox::new(0.05);
-        // The square is far below the size threshold, where exact
-        // answers are affordable and never conservative: the query must
-        // go straight to the exact backend.
-        assert!(oracle
-            .is_routable(&g.view(), &[Demand::new(g.node(0), g.node(3), 7.0)])
-            .unwrap());
+        let fits = [Demand::new(g.node(0), g.node(3), 7.0)];
+        // |E| · |EH| = 4 · 1: at the limit the exact side answers the
+        // whole query, where exact answers are affordable and never
+        // conservative (the sequential routing certifies this one).
+        let oracle = ConcurrentFlowApprox::new(0.05).with_fallback_limit(4);
+        assert_eq!(oracle.name(), "auto:4");
+        assert!(oracle.is_routable(&g.view(), &fits).unwrap());
         let stats = oracle.stats();
-        assert_eq!(stats.approx_runs, 0, "{stats:?}");
-        assert_eq!(stats.boundary_fallbacks, 1, "{stats:?}");
-        // 20 > max flow 14: the single-commodity precheck rejects it
-        // before either backend runs.
+        assert_eq!((stats.approx_runs, stats.boundary_fallbacks), (0, 1));
+        // 20 > max flow 14: the exact side's min-cut certificate refutes
+        // it, still without an LP.
         assert!(!oracle
             .is_routable(&g.view(), &[Demand::new(g.node(0), g.node(3), 20.0)])
             .unwrap());
-        assert_eq!(oracle.stats().boundary_fallbacks, 1);
+        let stats = oracle.stats();
+        assert_eq!((stats.boundary_fallbacks, stats.lp_solves), (2, 0));
+        // One under the size, Garg–Könemann answers.
+        let oracle = ConcurrentFlowApprox::new(0.05).with_fallback_limit(3);
+        assert!(oracle.is_routable(&g.view(), &fits).unwrap());
+        assert_eq!(oracle.stats().approx_runs, 1);
     }
 
     #[test]
@@ -298,7 +301,7 @@ mod tests {
     #[test]
     fn satisfaction_full_when_routable_and_scaled_when_not() {
         let g = square();
-        let oracle = ConcurrentFlowApprox::new(0.05);
+        let oracle = ConcurrentFlowApprox::new(0.05).with_fallback_limit(0);
         let easy = [Demand::new(g.node(0), g.node(3), 7.0)];
         let sat = oracle.satisfied(&g.view(), &easy).unwrap();
         assert!((sat[0] - 7.0).abs() < 1e-9);
@@ -319,13 +322,14 @@ mod tests {
             "bound uselessly loose: {}",
             sat[0]
         );
+        assert_eq!(oracle.stats().approx_runs, 2);
     }
 
     #[test]
     fn disconnected_demands_get_zero_but_others_survive() {
         let mut g = Graph::with_nodes(4);
         g.add_edge(g.node(0), g.node(1), 5.0).unwrap();
-        let oracle = ConcurrentFlowApprox::new(0.05);
+        let oracle = ConcurrentFlowApprox::new(0.05).with_fallback_limit(0);
         let demands = [
             Demand::new(g.node(0), g.node(1), 2.0),
             Demand::new(g.node(2), g.node(3), 9.0),
@@ -333,5 +337,6 @@ mod tests {
         let sat = oracle.satisfied(&g.view(), &demands).unwrap();
         assert!((sat[0] - 2.0).abs() < 1e-9);
         assert_eq!(sat[1], 0.0);
+        assert_eq!(oracle.stats().approx_runs, 1);
     }
 }

@@ -601,7 +601,7 @@ impl ArtifactBuilder {
             }
         }
         for d in demands {
-            if d.amount <= 0.0 || d.source == d.target {
+            if !d.is_active() {
                 continue;
             }
             let rs = uf.find(d.source.index());
@@ -617,11 +617,7 @@ impl ArtifactBuilder {
             let inside = |node: usize| words[node / 64] & (1 << (node % 64)) != 0;
             let crossing_demand: f64 = demands
                 .iter()
-                .filter(|d| {
-                    d.amount > 0.0
-                        && d.source != d.target
-                        && inside(d.source.index()) != inside(d.target.index())
-                })
+                .filter(|d| d.is_active() && inside(d.source.index()) != inside(d.target.index()))
                 .map(|d| d.amount)
                 .sum();
             if crossing_demand <= 0.0 {

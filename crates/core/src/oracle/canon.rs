@@ -133,7 +133,7 @@ pub(crate) fn canonicalize(
     }
     let mut relevant = vec![false; n];
     for d in demands {
-        if d.amount > 0.0 && d.source != d.target {
+        if d.is_active() {
             let (rs, rt) = (uf.find(d.source.index()), uf.find(d.target.index()));
             if rs == rt {
                 relevant[rs] = true;

@@ -58,11 +58,7 @@ impl ExactLp {
 impl RoutabilityOracle for ExactLp {
     fn is_routable(&self, view: &View<'_>, demands: &[Demand]) -> Result<bool, RecoveryError> {
         self.routability_queries.bump();
-        let active: Vec<Demand> = demands
-            .iter()
-            .copied()
-            .filter(|d| d.amount > 1e-12 && d.source != d.target)
-            .collect();
+        let active: Vec<Demand> = demands.iter().copied().filter(Demand::is_active).collect();
         if active.is_empty() {
             return Ok(true);
         }
@@ -93,10 +89,7 @@ impl RoutabilityOracle for ExactLp {
 impl SatisfactionOracle for ExactLp {
     fn satisfied(&self, view: &View<'_>, demands: &[Demand]) -> Result<Vec<f64>, RecoveryError> {
         self.satisfaction_queries.bump();
-        if demands
-            .iter()
-            .any(|d| d.amount > 0.0 && d.source != d.target)
-        {
+        if demands.iter().any(Demand::is_active) {
             self.lp_solves.bump();
         }
         let (sat, _) = mcf::max_satisfied(view, demands)?;

@@ -284,11 +284,7 @@ impl RoutabilityOracle for IncrementalOracle {
         // is settled from scratch and recorded alike.
         let mask = q.edge_mask();
         let canon = graph.view().with_edge_mask(&mask).with_capacities(&q.caps);
-        let active: Vec<Demand> = demands
-            .iter()
-            .copied()
-            .filter(|d| d.amount > 1e-12 && d.source != d.target)
-            .collect();
+        let active: Vec<Demand> = demands.iter().copied().filter(Demand::is_active).collect();
         let answer = match mcf::certify(&canon, &active) {
             Some(certificate) => certificate.is_routable(),
             None => {

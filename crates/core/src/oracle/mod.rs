@@ -15,10 +15,10 @@
 //! trait pair with three interchangeable backends:
 //!
 //! * [`ExactLp`] — the paper's exact LPs (the previous behavior);
-//! * [`ConcurrentFlowApprox`] — the Garg–Könemann concurrent-flow
-//!   approximation with an exact-LP fallback near the λ ≈ 1 feasibility
-//!   boundary, so answers stay *conservative* (never "routable" for an
-//!   unroutable instance — see `DESIGN.md`);
+//! * [`ConcurrentFlowApprox`] — the `auto` backend: [`ExactLp`] at or
+//!   below a size threshold, the Garg–Könemann concurrent-flow
+//!   approximation above it, whose answers stay *conservative* (never
+//!   "routable" for an unroutable instance — see `DESIGN.md`);
 //! * [`Cached`] — a decorator memoizing any backend's answers keyed by
 //!   the working node/edge masks, capacities, and demand set, with
 //!   hit/miss counters;
@@ -233,9 +233,12 @@ pub struct OracleStats {
     pub lp_solves: usize,
     /// Concurrent-flow approximation runs.
     pub approx_runs: usize,
-    /// Approximate-backend queries answered by the exact LP because the
-    /// instance sat at or below the size threshold where the exact LP is
-    /// measurably faster than Garg–Könemann.
+    /// Queries the `auto` backend ([`ConcurrentFlowApprox`]) handed to
+    /// the exact LP because they sat at or below its size threshold on
+    /// `|E| · |EH|`: the whole query, or (above the threshold) the
+    /// demands left connected. Every other `auto` answer is a
+    /// Garg–Könemann run or a cheap exact screen (a disconnected demand,
+    /// one demand above its own max flow).
     pub boundary_fallbacks: usize,
     /// Approximation runs that early-terminated on a certificate (λ ≥
     /// target via explicit-flow congestion or the phase-count bound)
@@ -438,24 +441,16 @@ pub enum OracleSpec {
     /// The exact LPs (system (2) / maximum satisfied demand).
     #[default]
     Exact,
-    /// Concurrent-flow approximation with accuracy ε and conservative
-    /// exact fallback near the feasibility boundary.
-    Approx {
-        /// Accuracy parameter ε ∈ (0, 1/3).
-        epsilon: f64,
-    },
-    /// Exact below the size threshold on `|E| · |EH|`, approximate above.
+    /// Exact at or below the size threshold on `|E| · |EH|`, the
+    /// conservative Garg–Könemann approximation above
+    /// ([`ConcurrentFlowApprox`]; the rule is
+    /// [`OracleSpec::uses_exact_split`]'s).
     Auto {
         /// Size threshold on `|E| · |EH|`.
         threshold: usize,
     },
     /// Memoizing decorator over the exact backend.
     CachedExact,
-    /// Memoizing decorator over the approximate backend.
-    CachedApprox {
-        /// Accuracy parameter ε ∈ (0, 1/3).
-        epsilon: f64,
-    },
     /// Incremental exact backend: persistent warm-start state across the
     /// caller's apply/undo deltas (answers identical to [`Exact`](OracleSpec::Exact)).
     Incremental,
@@ -470,13 +465,13 @@ pub enum OracleSpec {
     },
 }
 
-/// Default ε of approximate backends.
+/// Default ε of the Garg–Könemann side of [`ConcurrentFlowApprox`].
 pub const DEFAULT_EPSILON: f64 = 0.05;
 
 /// Default `|E| · |EH|` size threshold at which the stack switches from
 /// exact to approximate answers — shared by [`OracleSpec::Auto`] parsing,
-/// the solver configs' default oracle, and the approximate backend's
-/// exact-LP fast path, so tuning the crossover stays in one place.
+/// the solver configs' default oracle, and [`ConcurrentFlowApprox`]'s
+/// default, so tuning the crossover stays in one place.
 ///
 /// Recalibrated from the committed `BENCH_scale.json` time-vs-n sweep
 /// (the previous 48k figure was extrapolated from warm *routability*
@@ -496,39 +491,33 @@ pub const DEFAULT_EPSILON: f64 = 0.05;
 /// terminate on the λ ≥ 1 congestion certificate within a phase or two.)
 pub const DEFAULT_SIZE_THRESHOLD: usize = 8_000;
 
+/// The size rule of [`OracleSpec::Auto`]: a query of `demands` demands on
+/// `enabled_edges` enabled edges is answered exactly when `|E| · |EH|`
+/// is at most `threshold`. [`ConcurrentFlowApprox`] picks its branch by
+/// it and ISP picks its Decision-2 split by it
+/// ([`OracleSpec::uses_exact_split`]), so the two never disagree.
+pub(crate) fn answers_exactly(threshold: usize, enabled_edges: usize, demands: usize) -> bool {
+    enabled_edges * demands <= threshold
+}
+
 impl OracleSpec {
-    /// Parses a CLI argument: `exact`, `approx`, `approx:<eps>`, `auto`,
-    /// `auto:<threshold>`, `cached` / `cached-exact`, `cached-approx`,
-    /// `cached-approx:<eps>`, `incremental`, `artifact:path=<file>`
+    /// Every spelling [`OracleSpec::parse`] accepts, for usage and error
+    /// texts.
+    pub const SYNTAX: &'static str =
+        "exact|auto[:threshold]|cached|cached-exact|incremental|artifact:path=FILE";
+
+    /// Parses a CLI argument: `exact`, `auto`, `auto:<threshold>`,
+    /// `cached` / `cached-exact`, `incremental`, `artifact:path=<file>`
     /// (alias `artifact:<file>`).
     pub fn parse(s: &str) -> Option<OracleSpec> {
         match s {
             "exact" => Some(OracleSpec::Exact),
             "incremental" => Some(OracleSpec::Incremental),
-            "approx" => Some(OracleSpec::Approx {
-                epsilon: DEFAULT_EPSILON,
-            }),
             "auto" => Some(OracleSpec::Auto {
                 threshold: DEFAULT_SIZE_THRESHOLD,
             }),
             "cached" | "cached-exact" => Some(OracleSpec::CachedExact),
-            "cached-approx" => Some(OracleSpec::CachedApprox {
-                epsilon: DEFAULT_EPSILON,
-            }),
             _ => {
-                // ε must lie in the algorithm's domain (0, 1/3); a NaN or
-                // out-of-range value would silently poison every query.
-                let parse_epsilon = |text: &str| {
-                    text.parse::<f64>()
-                        .ok()
-                        .filter(|eps| eps.is_finite() && *eps > 0.0 && *eps < 1.0 / 3.0)
-                };
-                if let Some(eps) = s.strip_prefix("approx:") {
-                    return parse_epsilon(eps).map(|epsilon| OracleSpec::Approx { epsilon });
-                }
-                if let Some(eps) = s.strip_prefix("cached-approx:") {
-                    return parse_epsilon(eps).map(|epsilon| OracleSpec::CachedApprox { epsilon });
-                }
                 if let Some(t) = s.strip_prefix("auto:") {
                     return t
                         .parse()
@@ -553,18 +542,18 @@ impl OracleSpec {
         }
     }
 
-    /// Whether ISP's Decision-2 split should use the exact LP for an
-    /// instance of `enabled_edges` edges and `demands` demands: always
-    /// under the exact backends, never under the approximate ones, and
-    /// by size under [`OracleSpec::Auto`].
+    /// Whether the oracle this spec builds answers an instance of
+    /// `enabled_edges` edges and `demands` demands exactly: always,
+    /// except [`OracleSpec::Auto`] above its threshold. ISP then takes
+    /// the exact Decision-2 split, and trusts the oracle's "no" at its
+    /// precheck.
     pub fn uses_exact_split(&self, enabled_edges: usize, demands: usize) -> bool {
         match self {
+            OracleSpec::Auto { threshold } => answers_exactly(*threshold, enabled_edges, demands),
             OracleSpec::Exact
             | OracleSpec::CachedExact
             | OracleSpec::Incremental
             | OracleSpec::Artifact { .. } => true,
-            OracleSpec::Approx { .. } | OracleSpec::CachedApprox { .. } => false,
-            OracleSpec::Auto { threshold } => enabled_edges * demands <= *threshold,
         }
     }
 }
@@ -573,10 +562,8 @@ impl std::fmt::Display for OracleSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             OracleSpec::Exact => write!(f, "exact"),
-            OracleSpec::Approx { epsilon } => write!(f, "approx:{epsilon}"),
             OracleSpec::Auto { threshold } => write!(f, "auto:{threshold}"),
             OracleSpec::CachedExact => write!(f, "cached-exact"),
-            OracleSpec::CachedApprox { epsilon } => write!(f, "cached-approx:{epsilon}"),
             OracleSpec::Incremental => write!(f, "incremental"),
             OracleSpec::Artifact { path } => write!(f, "artifact:path={path}"),
         }
@@ -677,14 +664,10 @@ impl OracleBuilder {
         };
         let base: Box<dyn EvalOracle> = match &self.spec {
             OracleSpec::Exact => Box::new(ExactLp::new()),
-            OracleSpec::Approx { epsilon } => Box::new(ConcurrentFlowApprox::new(*epsilon)),
             OracleSpec::Auto { threshold } => {
-                Box::new(AutoOracle::new(*threshold, DEFAULT_EPSILON))
+                Box::new(ConcurrentFlowApprox::new(DEFAULT_EPSILON).with_fallback_limit(*threshold))
             }
             OracleSpec::CachedExact => Box::new(Cached::new(ExactLp::new())),
-            OracleSpec::CachedApprox { epsilon } => {
-                Box::new(Cached::new(ConcurrentFlowApprox::new(*epsilon)))
-            }
             OracleSpec::Incremental | OracleSpec::Artifact { .. } => {
                 Box::new(incremental(&self.warm))
             }
@@ -693,68 +676,6 @@ impl OracleBuilder {
             Some(artifact) => Box::new(ArtifactOracle::new(artifact, base)),
             None => base,
         })
-    }
-}
-
-/// Size-switching backend behind [`OracleSpec::Auto`]: exact below the
-/// `|E| · |EH|` threshold, approximate above it.
-#[derive(Debug, Default)]
-pub struct AutoOracle {
-    exact: ExactLp,
-    approx: ConcurrentFlowApprox,
-    threshold: usize,
-}
-
-impl AutoOracle {
-    /// An auto oracle with the given size threshold and approximation ε.
-    /// The threshold is shared with the approximate backend's exact-LP
-    /// fast path, so above it no query may build the exact LP.
-    pub fn new(threshold: usize, epsilon: f64) -> Self {
-        AutoOracle {
-            exact: ExactLp::new(),
-            approx: ConcurrentFlowApprox::new(epsilon).with_fallback_limit(threshold),
-            threshold,
-        }
-    }
-
-    fn pick_exact(&self, view: &View<'_>, demands: &[Demand]) -> bool {
-        let active = demands.iter().filter(|d| d.amount > 0.0).count();
-        view.enabled_edges().count() * active <= self.threshold
-    }
-}
-
-impl RoutabilityOracle for AutoOracle {
-    fn is_routable(&self, view: &View<'_>, demands: &[Demand]) -> Result<bool, RecoveryError> {
-        if self.pick_exact(view, demands) {
-            self.exact.is_routable(view, demands)
-        } else {
-            self.approx.is_routable(view, demands)
-        }
-    }
-}
-
-impl SatisfactionOracle for AutoOracle {
-    fn satisfied(&self, view: &View<'_>, demands: &[Demand]) -> Result<Vec<f64>, RecoveryError> {
-        if self.pick_exact(view, demands) {
-            self.exact.satisfied(view, demands)
-        } else {
-            self.approx.satisfied(view, demands)
-        }
-    }
-}
-
-impl EvalOracle for AutoOracle {
-    fn name(&self) -> String {
-        format!("auto:{}", self.threshold)
-    }
-
-    fn stats(&self) -> OracleStats {
-        self.exact.stats().merged(&self.approx.stats())
-    }
-
-    fn reset_stats(&self) {
-        self.exact.reset_stats();
-        self.approx.reset_stats();
     }
 }
 
@@ -826,14 +747,9 @@ mod tests {
 
     #[test]
     fn spec_parsing_round_trips() {
-        for s in ["exact", "approx", "auto", "cached-exact", "cached-approx"] {
+        for s in ["exact", "auto", "cached-exact", "incremental"] {
             let spec = OracleSpec::parse(s).unwrap();
-            let rendered = spec.to_string();
-            assert_eq!(
-                OracleSpec::parse(&rendered).or(Some(spec.clone())),
-                Some(spec),
-                "{s}"
-            );
+            assert_eq!(OracleSpec::parse(&spec.to_string()), Some(spec), "{s}");
         }
         // The artifact variant renders canonically and round-trips; the
         // bare-path alias normalizes to the canonical form.
@@ -850,23 +766,23 @@ mod tests {
         assert!(OracleSpec::parse("artifact:").is_none());
         assert!(OracleSpec::parse("artifact:path=").is_none());
         assert_eq!(
-            OracleSpec::parse("approx:0.1"),
-            Some(OracleSpec::Approx { epsilon: 0.1 })
-        );
-        assert_eq!(
             OracleSpec::parse("auto:123"),
             Some(OracleSpec::Auto { threshold: 123 })
         );
         assert_eq!(OracleSpec::parse("cached"), Some(OracleSpec::CachedExact));
-        assert!(OracleSpec::parse("magic").is_none());
-        // ε outside (0, 1/3) — including NaN — must be rejected, not
-        // silently accepted.
+        // Every spelling the usage texts list parses, and nothing else:
+        // the retired approximate specs are errors.
+        for s in OracleSpec::SYNTAX.split('|') {
+            let s = s.replace("[:threshold]", ":7").replace("FILE", "f.nra");
+            assert!(OracleSpec::parse(&s).is_some(), "{s}");
+        }
         for bad in [
-            "approx:nan",
-            "approx:-1",
-            "approx:0.5",
-            "approx:0",
-            "cached-approx:inf",
+            "magic",
+            "approx",
+            "approx:0.1",
+            "cached-approx",
+            "cached-approx:0.1",
+            "auto:x",
         ] {
             assert!(OracleSpec::parse(bad).is_none(), "{bad}");
         }
@@ -882,10 +798,10 @@ mod tests {
         let disconnected = g.view().with_edge_mask(&cut);
         for spec in [
             OracleSpec::Exact,
-            OracleSpec::Approx { epsilon: 0.05 },
             OracleSpec::Auto { threshold: 4_000 },
+            OracleSpec::Auto { threshold: 0 },
             OracleSpec::CachedExact,
-            OracleSpec::CachedApprox { epsilon: 0.05 },
+            OracleSpec::Incremental,
         ] {
             let oracle = OracleBuilder::new(spec.clone()).build().unwrap();
             assert!(oracle.is_routable(&g.view(), &fits).unwrap(), "{spec}");
@@ -897,22 +813,26 @@ mod tests {
         }
     }
 
+    /// Every backend drops exactly the demands the reference LP drops:
+    /// a disconnected demand of any positive amount is unroutable.
     #[test]
-    fn auto_switches_backend_by_size() {
-        let g = square();
-        let demands = [Demand::new(g.node(0), g.node(3), 8.0)];
-        // Threshold 0: everything goes to the approximation.
-        let tiny = AutoOracle::new(0, 0.05);
-        assert!(tiny.is_routable(&g.view(), &demands).unwrap());
-        assert_eq!(tiny.stats().approx_runs, 1);
-        assert_eq!(tiny.stats().lp_solves, 0);
-        // Large threshold: everything exact (the sequential routing
-        // certifies this one, so no LP runs either).
-        let large = AutoOracle::new(1_000_000, 0.05);
-        assert!(large.is_routable(&g.view(), &demands).unwrap());
-        let stats = large.stats();
-        assert_eq!((stats.approx_runs, stats.boundary_fallbacks), (0, 0));
-        assert_eq!((stats.routability_queries, stats.lp_solves), (1, 0));
+    fn dust_demands_count_in_every_backend() {
+        let mut g = Graph::with_nodes(3);
+        g.add_edge(g.node(0), g.node(1), 1.0).unwrap();
+        let dust = [Demand::new(g.node(0), g.node(2), 1e-13)];
+        assert!(netrec_lp::mcf::routability(&g.view(), &dust)
+            .unwrap()
+            .is_none());
+        for spec in [
+            OracleSpec::Exact,
+            OracleSpec::Auto { threshold: 4_000 },
+            OracleSpec::Auto { threshold: 0 },
+            OracleSpec::CachedExact,
+            OracleSpec::Incremental,
+        ] {
+            let oracle = OracleBuilder::new(spec.clone()).build().unwrap();
+            assert!(!oracle.is_routable(&g.view(), &dust).unwrap(), "{spec}");
+        }
     }
 
     #[test]
@@ -971,7 +891,6 @@ mod tests {
         let demands = [Demand::new(g.node(0), g.node(3), 8.0)];
         for spec in [
             OracleSpec::Exact,
-            OracleSpec::Approx { epsilon: 0.05 },
             OracleSpec::Auto { threshold: 0 },
             OracleSpec::CachedExact,
             OracleSpec::Incremental,
@@ -988,11 +907,11 @@ mod tests {
     #[test]
     fn routability_mode_conversion() {
         // Each routability mode (an `OracleSpec`) converts into ISP's
-        // Decision-2 split choice.
+        // Decision-2 split choice: exact wherever the oracle is.
         assert!(OracleSpec::Exact.uses_exact_split(1_000_000, 10));
         assert!(OracleSpec::Incremental.uses_exact_split(1_000_000, 100));
-        assert!(!OracleSpec::Approx { epsilon: 0.1 }.uses_exact_split(1, 1));
         assert!(OracleSpec::Auto { threshold: 10 }.uses_exact_split(5, 2));
         assert!(!OracleSpec::Auto { threshold: 10 }.uses_exact_split(11, 1));
+        assert!(!OracleSpec::Auto { threshold: 0 }.uses_exact_split(1, 1));
     }
 }

@@ -224,7 +224,10 @@ mod tests {
                 .unwrap();
             assert_eq!(exact, reference);
             let approx = plan
-                .satisfied_fraction_with(&p, &crate::oracle::ConcurrentFlowApprox::new(0.05))
+                .satisfied_fraction_with(
+                    &p,
+                    &crate::oracle::ConcurrentFlowApprox::new(0.05).with_fallback_limit(0),
+                )
                 .unwrap();
             assert!(approx <= reference + 1e-9, "approx {approx} > {reference}");
         }

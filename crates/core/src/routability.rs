@@ -1,5 +1,5 @@
 //! Tests of the routability question (paper §IV-A, system (2)) as the
-//! solvers ask it: through the exact, approximate and size-switching
+//! solvers ask it: through the exact and size-switching
 //! [`OracleSpec`](crate::OracleSpec)s a solver config selects, each built by
 //! [`OracleBuilder`](crate::OracleBuilder). The default selector is the solver configs' own
 //! default oracle.
@@ -28,7 +28,7 @@ mod tests {
         let over = [Demand::new(g.node(0), g.node(2), 6.0)];
         for spec in [
             OracleSpec::Exact,
-            OracleSpec::Approx { epsilon: 0.05 },
+            OracleSpec::Auto { threshold: 0 },
             IspConfig::default().oracle,
         ] {
             assert!(routable(&spec, &g.view(), &fits), "{spec}");
@@ -43,34 +43,13 @@ mod tests {
     }
 
     #[test]
-    fn auto_picks_backend_by_size() {
-        let g = line();
-        let fits = [Demand::new(g.node(0), g.node(2), 4.0)];
-        // |E| · |EH| = 2 · 1: a size at the threshold is exact, one
-        // above it approximate.
-        let small = OracleBuilder::new(OracleSpec::Auto { threshold: 2 })
-            .build()
-            .unwrap();
-        assert!(small.is_routable(&g.view(), &fits).unwrap());
-        // The exact backend answers, from the sequential routing.
-        let stats = small.stats();
-        assert_eq!((stats.approx_runs, stats.boundary_fallbacks), (0, 0));
-        assert_eq!((stats.routability_queries, stats.lp_solves), (1, 0));
-        let large = OracleBuilder::new(OracleSpec::Auto { threshold: 1 })
-            .build()
-            .unwrap();
-        assert!(large.is_routable(&g.view(), &fits).unwrap());
-        assert_eq!((large.stats().lp_solves, large.stats().approx_runs), (0, 1));
-    }
-
-    #[test]
     fn disconnected_is_unroutable_in_all_modes() {
         let mut g = Graph::with_nodes(3);
         g.add_edge(g.node(0), g.node(1), 5.0).unwrap();
         let demands = [Demand::new(g.node(0), g.node(2), 1.0)];
         for spec in [
             OracleSpec::Exact,
-            OracleSpec::Approx { epsilon: 0.05 },
+            OracleSpec::Auto { threshold: 0 },
             IspConfig::default().oracle,
         ] {
             assert!(!routable(&spec, &g.view(), &demands), "{spec}");

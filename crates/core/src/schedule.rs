@@ -467,7 +467,7 @@ mod tests {
     fn approximate_oracle_keeps_curve_monotone_and_complete() {
         let p = two_lines();
         let plan = solve_isp(&p, &IspConfig::default()).unwrap();
-        let oracle = crate::oracle::ConcurrentFlowApprox::new(0.05);
+        let oracle = crate::oracle::ConcurrentFlowApprox::new(0.05).with_fallback_limit(0);
         let schedule = schedule_recovery_with_oracle(&p, &plan, 2.0, &oracle).unwrap();
         let repaired: usize = schedule
             .stages

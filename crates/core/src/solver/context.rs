@@ -244,7 +244,7 @@ mod tests {
     fn oracle_override_wins() {
         let ctx = SolveContext::new().with_oracle(OracleSpec::Exact);
         assert_eq!(
-            ctx.oracle_spec(OracleSpec::Approx { epsilon: 0.1 }),
+            ctx.oracle_spec(OracleSpec::Auto { threshold: 0 }),
             OracleSpec::Exact
         );
     }

@@ -239,14 +239,7 @@ fn apply_option(spec: &mut SolverSpec, key: &str, value: &str) -> Result<(), Sol
         _ => Err(bad(name, key, value, "true|false")),
     };
     let parse_oracle = |key: &str, value: &str| {
-        OracleSpec::parse(value).ok_or_else(|| {
-            bad(
-                name,
-                key,
-                value,
-                "exact|approx[:eps]|auto[:threshold]|cached-exact|cached-approx[:eps]",
-            )
-        })
+        OracleSpec::parse(value).ok_or_else(|| bad(name, key, value, OracleSpec::SYNTAX))
     };
     match spec {
         SolverSpec::Isp(config) => match key {
@@ -258,15 +251,8 @@ fn apply_option(spec: &mut SolverSpec, key: &str, value: &str) -> Result<(), Sol
                 }
             }
             "candidates" => config.split_candidates = parse_usize(key, value)?,
-            "exact-split" => config.exact_split_lp = parse_bool(key, value)?,
             "oracle" => config.oracle = parse_oracle(key, value)?,
-            _ => {
-                return Err(unknown_key(
-                    name,
-                    key,
-                    "metric, candidates, exact-split, oracle",
-                ))
-            }
+            _ => return Err(unknown_key(name, key, "metric, candidates, oracle")),
         },
         SolverSpec::Opt(config) => match key {
             "budget" => {
@@ -318,9 +304,6 @@ impl fmt::Display for SolverSpec {
                 }
                 if config.split_candidates != defaults.split_candidates {
                     options.push(format!("candidates={}", config.split_candidates));
-                }
-                if config.exact_split_lp != defaults.exact_split_lp {
-                    options.push(format!("exact-split={}", config.exact_split_lp));
                 }
                 if config.oracle != defaults.oracle {
                     options.push(format!("oracle={}", config.oracle));
@@ -469,7 +452,7 @@ pub fn registry() -> Vec<SolverInfo> {
     vec![
         SolverInfo {
             spec: SolverSpec::isp(),
-            syntax: "isp[:metric=dynamic|hops,candidates=N,exact-split=BOOL,oracle=SPEC]",
+            syntax: "isp[:metric=dynamic|hops,candidates=N,oracle=SPEC]",
             summary: "Iterative Split and Prune (the paper's heuristic)",
         },
         SolverInfo {
@@ -539,8 +522,8 @@ mod tests {
     fn parse_with_options_round_trips() {
         for s in [
             "isp:metric=hops",
-            "isp:candidates=3,exact-split=false",
-            "isp:oracle=approx:0.1",
+            "isp:candidates=3",
+            "isp:oracle=auto:0",
             "opt:budget=200",
             "opt:budget=none,warm-start=false",
             "grd-nc:paths=8",
@@ -604,6 +587,15 @@ mod tests {
         assert!(SolverSpec::parse("all:x=y").is_err());
         assert!(SolverSpec::parse("grd-nc:paths").is_err());
         assert!(SolverSpec::parse("grd-nc:oracle=tea-leaves").is_err());
+        // Retired spellings.
+        for retired in [
+            "isp:exact-split=false",
+            "isp:oracle=approx:0.1",
+            "grd-nc:oracle=approx",
+            "mcb:oracle=cached-approx:0.1",
+        ] {
+            assert!(SolverSpec::parse(retired).is_err(), "{retired}");
+        }
     }
 
     #[test]

@@ -292,10 +292,13 @@ fn spec_from(
     let oracle = match oracle_idx % 3 {
         0 => String::new(),
         1 => ",oracle=cached-exact".into(),
-        _ => ",oracle=approx:0.05".into(),
+        _ => ",oracle=auto:0".into(),
     };
     let text = match index % 8 {
-        0 => format!("isp:candidates={candidates},exact-split={flag}{oracle}"),
+        0 => {
+            let metric = if flag { ",metric=hops" } else { "" };
+            format!("isp:candidates={candidates}{metric}{oracle}")
+        }
         1 => {
             if flag {
                 format!("opt:budget={budget}")

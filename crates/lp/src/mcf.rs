@@ -47,6 +47,14 @@ impl Demand {
             amount,
         }
     }
+
+    /// Whether the demand asks anything of the network: a positive
+    /// amount between distinct endpoints. Every routability answer —
+    /// the LP's and every oracle backend's — ignores the others, however
+    /// small the positive amount.
+    pub fn is_active(&self) -> bool {
+        self.amount > 0.0 && self.source != self.target
+    }
 }
 
 /// Per-demand, per-edge net flows decoded from an LP solution.
@@ -261,7 +269,7 @@ pub fn quick_unroutable(view: &View<'_>, demands: &[Demand]) -> bool {
 fn disconnected_demand(view: &View<'_>, demands: &[Demand]) -> Option<usize> {
     let mut component: Option<Vec<usize>> = None;
     demands.iter().position(|d| {
-        if d.amount <= 0.0 || d.source == d.target {
+        if !d.is_active() {
             return false;
         }
         if !view.node_enabled(d.source) || !view.node_enabled(d.target) {
@@ -363,15 +371,12 @@ pub fn certify(view: &View<'_>, demands: &[Demand]) -> Option<Certificate> {
 /// that is crossed by too much demand.
 fn overloaded_cut(view: &View<'_>, demands: &[Demand]) -> Option<Vec<bool>> {
     let asked = triples(demands);
-    demands
-        .iter()
-        .filter(|d| d.amount > 0.0 && d.source != d.target)
-        .find_map(|d| {
-            let sides = maxflow::min_cut_sides(view, d.source, d.target);
-            [sides.source_side, sides.sink_side]
-                .into_iter()
-                .find(|side| certificate::cut_overloaded(view, side, &asked))
-        })
+    demands.iter().filter(|d| d.is_active()).find_map(|d| {
+        let sides = maxflow::min_cut_sides(view, d.source, d.target);
+        [sides.source_side, sides.sink_side]
+            .into_iter()
+            .find(|side| certificate::cut_overloaded(view, side, &asked))
+    })
 }
 
 /// The routability test — system (2) of the paper.
@@ -413,11 +418,7 @@ pub fn routability_with(
     demands: &[Demand],
     engine: LpEngine,
 ) -> Result<Option<FlowAssignment>, LpError> {
-    let active: Vec<Demand> = demands
-        .iter()
-        .copied()
-        .filter(|d| d.amount > 0.0 && d.source != d.target)
-        .collect();
+    let active: Vec<Demand> = demands.iter().copied().filter(|d| d.is_active()).collect();
     if active.is_empty() {
         return Ok(Some(FlowAssignment { flow: Vec::new() }));
     }
@@ -538,7 +539,7 @@ impl WarmRouter {
     pub fn keep(&mut self, demands: &[Demand], flows: FlowAssignment) {
         self.prior.clear();
         for (d, f) in demands.iter().zip(flows.flow) {
-            if d.amount <= 0.0 || d.source == d.target {
+            if !d.is_active() {
                 continue;
             }
             match self
@@ -601,7 +602,7 @@ impl WarmRouter {
                 flow.push(f);
                 continue;
             }
-            if d.amount <= 0.0 || d.source == d.target {
+            if !d.is_active() {
                 flow.push(vec![0.0; m]);
                 continue;
             }
@@ -632,7 +633,7 @@ impl WarmRouter {
         demands
             .iter()
             .map(|d| {
-                if d.amount <= 0.0 || d.source == d.target {
+                if !d.is_active() {
                     return None;
                 }
                 let (k, sign) = self
@@ -778,7 +779,7 @@ fn split_lp_with(
                 0.0
             };
             // Keep the parameterized pairs even at 0 fixed amount.
-            (sigma != 0.0 || (d.amount > 0.0 && d.source != d.target)).then_some((d, sigma))
+            (sigma != 0.0 || d.is_active()).then_some((d, sigma))
         })
         .collect();
     let commodities = root_commodities(&active);
@@ -905,11 +906,7 @@ pub fn min_broken_flow(
         view.edge_count(),
         "broken_cost must have one entry per edge"
     );
-    let active: Vec<Demand> = demands
-        .iter()
-        .copied()
-        .filter(|d| d.amount > 0.0 && d.source != d.target)
-        .collect();
+    let active: Vec<Demand> = demands.iter().copied().filter(|d| d.is_active()).collect();
     if active.is_empty() {
         return Ok(Some((0.0, FlowAssignment { flow: Vec::new() })));
     }
@@ -988,11 +985,7 @@ pub fn broken_flow_extreme(
         view.edge_count(),
         "broken_cost must have one entry per edge"
     );
-    let active: Vec<Demand> = demands
-        .iter()
-        .copied()
-        .filter(|d| d.amount > 0.0 && d.source != d.target)
-        .collect();
+    let active: Vec<Demand> = demands.iter().copied().filter(|d| d.is_active()).collect();
     if active.is_empty() {
         return Ok(Some(FlowAssignment { flow: Vec::new() }));
     }
@@ -1137,7 +1130,7 @@ pub fn max_weighted_satisfied_with(
         "weights must be finite and non-negative"
     );
     let active_idx: Vec<usize> = (0..demands.len())
-        .filter(|&i| demands[i].amount > 0.0 && demands[i].source != demands[i].target)
+        .filter(|&i| demands[i].is_active())
         .collect();
     let active: Vec<Demand> = active_idx.iter().map(|&i| demands[i]).collect();
     let mut satisfied: Vec<f64> = demands.iter().map(|d| d.amount.max(0.0)).collect();
@@ -1214,11 +1207,7 @@ impl WarmRoutability {
     /// Builds the fixed-structure system for `demands` on the full
     /// `graph`.
     pub fn build(graph: &Graph, demands: &[Demand]) -> WarmRoutability {
-        let active: Vec<Demand> = demands
-            .iter()
-            .copied()
-            .filter(|d| d.amount > 0.0 && d.source != d.target)
-            .collect();
+        let active: Vec<Demand> = demands.iter().copied().filter(|d| d.is_active()).collect();
         // Unit capacities during construction: every edge of a relevant
         // component gets flow variables and a capacity row, even ones
         // whose *current* capacity is zero — later patches may raise it.
@@ -1315,7 +1304,7 @@ impl WarmMaxSatisfied {
     /// `graph`.
     pub fn build(graph: &Graph, demands: &[Demand]) -> WarmMaxSatisfied {
         let active_idx: Vec<usize> = (0..demands.len())
-            .filter(|&i| demands[i].amount > 0.0 && demands[i].source != demands[i].target)
+            .filter(|&i| demands[i].is_active())
             .collect();
         let active: Vec<Demand> = active_idx.iter().map(|&i| demands[i]).collect();
         // Unit capacities for the same reason as in `WarmRoutability`.

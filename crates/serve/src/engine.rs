@@ -553,48 +553,46 @@ impl Engine {
     /// record by record, and a torn *trailing* record — what a crash
     /// mid-append leaves — is salvaged: the file is truncated back to
     /// its valid prefix and the restore proceeds with a typed warning
-    /// instead of refusing to boot. Legacy bare-JSON snapshot files are
-    /// still accepted.
+    /// instead of refusing to boot. A file that does not open with a
+    /// record frame (such as a bare-JSON snapshot of an older release)
+    /// is refused untouched: salvage would truncate it to nothing.
     ///
     /// # Errors
     ///
-    /// A human-readable reason: unreadable file, no intact record,
-    /// malformed or wrong-kind JSON, component ids outside the base
-    /// topology, fingerprint mismatch, or a name collision with a live
-    /// session.
+    /// A human-readable reason: unreadable file, not a record stream,
+    /// no intact record, malformed or wrong-kind JSON, component ids
+    /// outside the base topology, fingerprint mismatch, or a name
+    /// collision with a live session.
     pub fn restore_from_file(&self, path: &Path) -> Result<RestoreReport, String> {
         let bytes =
             std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let origin = path.display().to_string();
-        let (doc, warning) = if fsio::is_record_stream(&bytes) {
-            let scan = fsio::salvage_records(path)
-                .map_err(|e| format!("{origin}: salvage failed: {e}"))?;
-            let warning = scan.torn.as_ref().map(|reason| {
-                format!(
-                    "{origin}: torn trailing record salvaged ({reason}); \
-                     truncated to {} bytes",
-                    scan.valid_len
-                )
-            });
-            let payload = scan.records.last().ok_or_else(|| {
-                format!(
-                    "{origin}: no intact snapshot record survives ({})",
-                    scan.torn.as_deref().unwrap_or("empty file")
-                )
-            })?;
-            let text = std::str::from_utf8(payload)
-                .map_err(|_| format!("{origin}: snapshot record is not UTF-8"))?;
-            let doc =
-                Json::parse(text.trim()).map_err(|e| format!("{origin} is not valid JSON: {e}"))?;
-            (doc, warning)
-        } else {
-            // Legacy format: the whole file is one bare JSON line.
-            let text =
-                String::from_utf8(bytes).map_err(|_| format!("{origin}: snapshot is not UTF-8"))?;
-            let doc =
-                Json::parse(text.trim()).map_err(|e| format!("{origin} is not valid JSON: {e}"))?;
-            (doc, None)
-        };
+        if !fsio::is_record_stream(&bytes) {
+            return Err(format!(
+                "{origin}: not a snapshot record stream (expected checksummed \
+                 record frames, as `snapshot` writes them; bare-JSON snapshots \
+                 are not read)"
+            ));
+        }
+        let scan =
+            fsio::salvage_records(path).map_err(|e| format!("{origin}: salvage failed: {e}"))?;
+        let warning = scan.torn.as_ref().map(|reason| {
+            format!(
+                "{origin}: torn trailing record salvaged ({reason}); \
+                 truncated to {} bytes",
+                scan.valid_len
+            )
+        });
+        let payload = scan.records.last().ok_or_else(|| {
+            format!(
+                "{origin}: no intact snapshot record survives ({})",
+                scan.torn.as_deref().unwrap_or("empty file")
+            )
+        })?;
+        let text = std::str::from_utf8(payload)
+            .map_err(|_| format!("{origin}: snapshot record is not UTF-8"))?;
+        let doc =
+            Json::parse(text.trim()).map_err(|e| format!("{origin} is not valid JSON: {e}"))?;
         let session = self.restore_session_doc(&doc, &origin)?;
         Ok(RestoreReport { session, warning })
     }
@@ -1248,6 +1246,28 @@ mod tests {
     }
 
     #[test]
+    fn degraded_routability_labels_a_disconnected_demand_exact() {
+        // Every edge down: the demand is disconnected, an exact proof,
+        // not a boundary artifact of the approximation.
+        let e = engine();
+        ok(
+            &e,
+            r#"{"v":1,"id":"d0","op":"disrupt","edges":[0,1,2,3],"cost":1.0}"#,
+        );
+        let r = ok(
+            &e,
+            r#"{"v":1,"id":"q1","op":"query_routability","degraded_ok":true}"#,
+        );
+        assert_eq!(r.json().get("routable"), Some(&Json::Bool(false)));
+        assert_eq!(
+            r.json().get("certificate").and_then(Json::as_str),
+            Some("exact"),
+            "{}",
+            r.to_line()
+        );
+    }
+
+    #[test]
     fn degraded_query_plan_serves_the_last_known_good_plan() {
         let e = engine();
         ok(
@@ -1420,6 +1440,25 @@ mod tests {
         // After salvage the file is clean: a fresh restore warns nothing.
         let e3 = engine();
         assert!(e3.restore_from_file(&path).unwrap().warning.is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn restore_refuses_a_bare_json_snapshot_untouched() {
+        let path = tmp_path("bare");
+        let e = engine();
+        let line = format!(
+            r#"{{"v":1,"id":"s1","op":"snapshot","path":{:?}}}"#,
+            path.to_str().unwrap()
+        );
+        ok(&e, &line);
+        // The same snapshot document, written as one bare JSON line.
+        let scan = fsio::scan_records(&std::fs::read(&path).unwrap());
+        let bare = [scan.records.last().unwrap().as_slice(), b"\n"].concat();
+        std::fs::write(&path, &bare).unwrap();
+        let reason = engine().restore_from_file(&path).unwrap_err();
+        assert!(reason.contains("not a snapshot record stream"), "{reason}");
+        assert_eq!(std::fs::read(&path).unwrap(), bare, "file left as found");
         let _ = std::fs::remove_file(&path);
     }
 

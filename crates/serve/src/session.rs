@@ -295,13 +295,15 @@ impl Session {
         Ok((routable, cost, source))
     }
 
-    /// Answers routability *degradedly*: a fresh conservative
-    /// concurrent-flow oracle instead of the warm exact path. Returns
-    /// the verdict plus a certificate level — `"exact"` (verdict cache
-    /// hit or exact-LP fast path answered), `"certified"` (the
-    /// Garg–Könemann threshold certificate proved feasibility), or
-    /// `"conservative"` (an unroutable verdict that may be a boundary
-    /// artifact — only extra repairs at stake, never correctness).
+    /// Answers routability *degradedly*: a fresh `auto` oracle
+    /// ([`ConcurrentFlowApprox`]) instead of the warm exact path. Returns
+    /// the verdict plus a certificate level — `"exact"` (a verdict cache
+    /// hit, or Garg–Könemann did not decide: the exact LP side, a
+    /// disconnected demand or a demand above its own max flow),
+    /// `"certified"` (the Garg–Könemann threshold certificate proved
+    /// feasibility), or `"conservative"` (a Garg–Könemann "unroutable"
+    /// that may be a boundary artifact — only extra repairs at stake,
+    /// never correctness).
     ///
     /// Isolation: the warm oracle is not consulted, and neither the
     /// verdict cache nor the warm state is updated — a conservative
@@ -327,7 +329,7 @@ impl Session {
             .with_edge_mask(&em);
         let routable = oracle.is_routable(&view, &self.problem.demands())?;
         let stats = oracle.stats();
-        let certificate = if stats.boundary_fallbacks > 0 {
+        let certificate = if stats.approx_runs == 0 {
             "exact"
         } else if routable {
             "certified"

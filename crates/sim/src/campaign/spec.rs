@@ -547,7 +547,8 @@ fn parse_oracle_axis(s: &str) -> Result<Option<OracleSpec>, CampaignSpecError> {
     match OracleSpec::parse(s) {
         Some(spec) => Ok(Some(spec)),
         None => err(format!(
-            "unknown oracle `{s}`; use default|exact|approx[:eps]|auto[:threshold]|cached-exact|cached-approx[:eps]|incremental|artifact:path=FILE"
+            "unknown oracle `{s}`; use default|{}",
+            OracleSpec::SYNTAX
         )),
     }
 }
@@ -783,8 +784,15 @@ mod tests {
             );
         }
         // Near-miss spellings stay rejected — the alias must not widen
-        // into a catch-all prefix match.
-        for bogus in ["artifacts:/tmp/x.nra", "artifact:", "artifact:path="] {
+        // into a catch-all prefix match — and so do the retired
+        // approximate specs.
+        for bogus in [
+            "artifacts:/tmp/x.nra",
+            "artifact:",
+            "artifact:path=",
+            "approx",
+            "cached-approx:0.1",
+        ] {
             let broken = TINY_SPEC.replace(
                 r#""oracles": ["default", "incremental"]"#,
                 &format!(r#""oracles": ["{bogus}"]"#),

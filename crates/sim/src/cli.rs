@@ -84,9 +84,11 @@ usage: netrec-cli [options]
                        mcf:worst  (alias --algorithm; default isp)
   --list-algorithms    print every registered solver with its syntax and
                        default configuration, then exit
-  --oracle exact | approx[:eps] | auto[:threshold] | cached | cached-approx[:eps]
-           | incremental | artifact:path=FILE
+  --oracle exact | auto[:threshold] | cached | cached-exact | incremental
+           | artifact:path=FILE
                        routability/satisfaction backend  (default per-algorithm);
+                       auto: the exact LP up to threshold on |E|*|EH|
+                       (default 8000), Garg-Koenemann above it;
                        artifact: probe a `netrec-cli precompute` file first,
                        fall through to the incremental backend on misses
   --oracle-stats       also print the solver's oracle counters (queries,
@@ -179,9 +181,7 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, UsageError> {
                 i += 1;
                 let v = need(i, "--oracle", args)?;
                 opts.oracle = Some(OracleSpec::parse(&v).ok_or_else(|| {
-                    UsageError(format!(
-                        "unknown oracle {v}; use exact|approx[:eps]|auto[:threshold]|cached|cached-approx[:eps]|incremental|artifact:path=FILE"
-                    ))
+                    UsageError(format!("unknown oracle {v}; use {}", OracleSpec::SYNTAX))
                 })?);
             }
             "--oracle-stats" => opts.oracle_stats = true,
@@ -277,9 +277,10 @@ pub fn render_oracle_stats(stats: &OracleStats) -> String {
             stats.artifact_hits, stats.artifact_misses
         ));
     }
-    if stats.approx_runs > 0 || stats.boundary_fallbacks > 0 {
-        // Which path answered: exact LP fast path, certificate-terminated
-        // approximation, or the full Garg–Könemann phase schedule.
+    if stats.approx_runs > 0 {
+        // Which path answered: the `auto` backend's exact side,
+        // certificate-terminated approximation, or the full
+        // Garg–Könemann phase schedule.
         line.push_str(&format!(
             ", paths: exact={} threshold={} approx-full={}",
             stats.boundary_fallbacks,
@@ -632,8 +633,16 @@ mod tests {
         assert_eq!(parse_args(&[]).unwrap().oracle, None);
         let o = parse_args(&args(&["--oracle", "cached"])).unwrap();
         assert_eq!(o.oracle, Some(OracleSpec::CachedExact));
-        let o = parse_args(&args(&["--oracle", "approx:0.1"])).unwrap();
-        assert_eq!(o.oracle, Some(OracleSpec::Approx { epsilon: 0.1 }));
+        let o = parse_args(&args(&["--oracle", "auto:0"])).unwrap();
+        assert_eq!(o.oracle, Some(OracleSpec::Auto { threshold: 0 }));
+        // The retired approximate specs are usage errors.
+        for retired in ["approx", "approx:0.1", "cached-approx", "cached-approx:0.1"] {
+            assert!(
+                parse_args(&args(&["--oracle", retired])).is_err(),
+                "{retired}"
+            );
+        }
+        assert!(parse_args(&args(&["--algo", "isp:exact-split=false"])).is_err());
         let o = parse_args(&args(&["--oracle", "incremental", "--oracle-stats"])).unwrap();
         assert_eq!(o.oracle, Some(OracleSpec::Incremental));
         assert!(o.oracle_stats);
@@ -698,7 +707,7 @@ mod tests {
 
     #[test]
     fn oracle_flag_runs_end_to_end() {
-        for oracle in ["exact", "approx", "cached", "cached-approx"] {
+        for oracle in ["exact", "auto:0", "cached", "incremental"] {
             let o = parse_args(&args(&[
                 "--topology",
                 "er:12:0.5",

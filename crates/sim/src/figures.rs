@@ -23,7 +23,6 @@ use crate::runner::Figure;
 use crate::scenario::{Scenario, TopologySpec};
 use netrec_core::heuristics::opt::OptConfig;
 use netrec_core::solver::SolverSpec;
-use netrec_core::IspConfig;
 use netrec_disrupt::DisruptionModel;
 use netrec_topology::demand::DemandSpec;
 
@@ -269,22 +268,13 @@ pub fn fig7(scale: Scale) -> Figure {
 ///
 /// The Default scale uses a 120-node / 148-edge CAIDA-style graph so the
 /// budgeted OPT remains tractable; `Scale::Paper` uses the full
-/// 825 / 1018 size with approximate routability inside ISP.
+/// 825 / 1018 size, where ISP's default `auto` oracle goes approximate
+/// once `|E| · |EH|` passes its threshold.
 pub fn fig9(scale: Scale) -> Figure {
     let (nodes, edges, sweep): (usize, usize, Vec<usize>) = match scale {
         Scale::Smoke => (60, 74, vec![1, 4, 7]),
         Scale::Default => (120, 148, vec![1, 2, 3, 4, 5, 6, 7]),
         Scale::Paper => (825, 1018, vec![1, 2, 3, 4, 5, 6, 7]),
-    };
-    let isp = if scale == Scale::Paper {
-        // Large instances: halving-search splits instead of the exact
-        // Decision-2 LP.
-        SolverSpec::Isp(IspConfig {
-            exact_split_lp: false,
-            ..Default::default()
-        })
-    } else {
-        SolverSpec::isp()
     };
     // Large flow LPs per node: keep the budget small.
     let opt = SolverSpec::Opt(OptConfig {
@@ -314,7 +304,7 @@ pub fn fig9(scale: Scale) -> Figure {
                     // Unit-square coordinates: σ² = 0.08 wipes out a wide
                     // central region, sparing most far-apart endpoints.
                     DisruptionModel::gaussian(0.08),
-                    vec![isp.clone(), opt.clone(), SolverSpec::srt()],
+                    vec![SolverSpec::isp(), opt.clone(), SolverSpec::srt()],
                     scale.runs(),
                     0xCA1DA,
                 );
@@ -421,6 +411,9 @@ mod tests {
                 _ => None,
             })
             .expect("fig9 runs ISP");
-        assert!(!isp.exact_split_lp);
+        // The default ISP, whose `auto` oracle (and so its Decision-2
+        // split) goes approximate past 7 demands on all 1018 edges.
+        assert_eq!(isp, netrec_core::IspConfig::default());
+        assert!(!isp.oracle.uses_exact_split(1018, 8));
     }
 }

@@ -507,19 +507,26 @@ mod tests {
         assert_eq!(r.failure_count(), 2);
     }
 
-    /// Acceptance criterion: `--oracle approx` produces only feasible
-    /// plans on the fig7 scenarios (conservativeness end to end).
+    /// `--oracle auto:0` (Garg–Könemann on every query with a demand)
+    /// produces only feasible plans on the fig7 scenarios
+    /// (conservativeness end to end).
     #[test]
     fn approx_oracle_keeps_fig7_plans_feasible() {
+        let mut ran_approx = false;
         for scenario in crate::figures::fig7(crate::figures::Scale::Smoke).scenarios {
-            let mut scenario =
-                scenario.with_oracle(netrec_core::OracleSpec::Approx { epsilon: 0.05 });
+            let mut scenario = scenario.with_oracle(netrec_core::OracleSpec::Auto { threshold: 0 });
             scenario.solvers = vec![SolverSpec::isp()];
             scenario.runs = 2;
             let solver = SolverSpec::isp().build();
             for run in 0..scenario.runs {
                 let problem = build_problem(&scenario, run as u64).unwrap();
-                let mut ctx = SolveContext::new().with_oracle(scenario.oracle.clone().unwrap());
+                let mut ctx = SolveContext::new()
+                    .with_oracle(scenario.oracle.clone().unwrap())
+                    .with_progress(|event| {
+                        if let ProgressEvent::OracleSnapshot(stats) = event {
+                            ran_approx |= stats.approx_runs > 0;
+                        }
+                    });
                 match solver.solve(&problem, &mut ctx) {
                     Ok(plan) => {
                         assert!(
@@ -543,6 +550,7 @@ mod tests {
                 }
             }
         }
+        assert!(ran_approx, "Garg–Könemann never ran");
     }
 
     #[test]
