@@ -1,7 +1,7 @@
 //! LP engine benchmarks: sparse revised simplex vs the dense-tableau
 //! reference, cold and warm (DESIGN.md §11).
 //!
-//! Writes `BENCH_lp.json` with six pairings:
+//! Writes `BENCH_lp.json` with seven pairings:
 //!
 //! * `routability_bell_dense` / `routability_bell_revised` — one
 //!   routability LP (system (2)) on the Bell-Canada instance's full view
@@ -31,10 +31,15 @@
 //!   would be slower than the per-demand side, not faster;
 //! * `split_bell_cold_route` / `split_bell_warm_route` — the routing
 //!   that certifies a Bell split the LP is not needed for: cold is
-//!   [`mcf::route_sequentially`], one Dinic max flow per entry of the
+//!   [`mcf::route_sequentially`], one Dinic flow per entry of the
 //!   split; warm is ISP's [`WarmRouter`] started from the routing of the
 //!   demands before the split, which keeps their flows and routes only
-//!   the two new pairs.
+//!   the two new pairs;
+//! * `split_bell_lp_zero` / `split_bell_cut` — a Bell split that no
+//!   routing certifies and whose LP answers 0: the LP side is
+//!   [`mcf::split_lp`], the cut side [`mcf::split_cut_bound`], which
+//!   proves with a few min cuts that no split fits, as ISP asks it before
+//!   the LP. A cut tier that solved the LP would read about 1x.
 //!
 //! The committed baseline is gated by `tests/perf_gate.rs` (ratios only,
 //! so machine speed cancels out).
@@ -208,6 +213,38 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("split_bell_warm_route", |b| {
         b.iter(|| warm.route(black_box(&bell_view), &at_via).unwrap())
+    });
+
+    // A split that can move nothing: demand 0 of the destroyed Bell
+    // instance at 20 units a pair, via node 45. No routing certifies it
+    // at its bound, and the LP answers 0, which the cut bound proves.
+    let heavy = bell_instance(4, 20.0);
+    let heavy_view = heavy.full_view();
+    let heavy_demands = heavy.demands();
+    let (h, via) = (0, heavy.graph().node(45));
+    let cap = heavy_demands[h].amount;
+    assert!(
+        mcf::route_sequentially(
+            &heavy_view,
+            &mcf::split_demands(&heavy_demands, h, via, cap)
+        )
+        .is_none(),
+        "no routing may certify the split"
+    );
+    assert_eq!(
+        mcf::split_lp(&heavy_view, &heavy_demands, h, via, cap).unwrap(),
+        Some(0.0),
+        "the split LP must answer 0"
+    );
+    assert!(
+        mcf::split_cut_bound(&heavy_view, &heavy_demands, h, via) <= 1e-7,
+        "the cut bound must settle the split"
+    );
+    g.bench_function("split_bell_lp_zero", |b| {
+        b.iter(|| mcf::split_lp(black_box(&heavy_view), &heavy_demands, h, via, cap).unwrap())
+    });
+    g.bench_function("split_bell_cut", |b| {
+        b.iter(|| mcf::split_cut_bound(black_box(&heavy_view), &heavy_demands, h, via))
     });
 
     g.finish();

@@ -10,7 +10,8 @@
 //! solves the LP where a certificate settles the question, a warm-start
 //! path that stopped warm starting, a split LP back at one flow
 //! commodity per demand, a warm split router that stopped reusing its
-//! prior — without flaking on slow or noisy runners.
+//! prior, a split cut bound that solved the LP — without flaking on slow
+//! or noisy runners.
 //!
 //! Without `NETREC_PERF_GATE_DIR` set (plain `cargo test`) the gates
 //! are skipped: measuring inside a debug test run would be meaningless.
@@ -96,12 +97,16 @@ const GATES: &[(&str, &str, f64)] = &[
     // faster than the per-demand routability LP of the same split; one
     // commodity per demand would make it ~2× slower ⇒ gate at 1.5×.
     ("split_bell_per_demand", "split_bell_lp", 1.5),
-    // ISP's warm router certifies a Bell split ~2.2× faster than the
-    // cold sequential routing: it keeps the flows of the demands the
-    // split leaves alone and routes only the two new pairs. A router that stopped reusing its
-    // prior would do the cold work plus its own checks (~1× or less)
-    // ⇒ gate at 1.1×.
+    // ISP's warm router certifies a Bell split ~1.9× faster than the
+    // cold sequential routing (1.3× in another run): it keeps the flows
+    // of the demands the split leaves alone and routes only the two new
+    // pairs. A router that stopped reusing its prior would do the cold
+    // work plus its own checks (~1× or less) ⇒ gate at 1.1×.
     ("split_bell_cold_route", "split_bell_warm_route", 1.1),
+    // The cut bound settles a Bell split whose LP answers 0 ~200×
+    // faster than that LP: a few min cuts instead of a solve. A bound
+    // that solved the LP would read ~1× ⇒ gate at 10×.
+    ("split_bell_lp_zero", "split_bell_cut", 10.0),
 ];
 
 #[test]
@@ -118,7 +123,8 @@ fn lp_engine_speedup_ratios_hold() {
             "{slow} / {fast} = {ratio:.2}x, below the {min_ratio}x gate \
              ({slow_ns:.0} ns vs {fast_ns:.0} ns) — did the revised engine, \
              the certificate tier, the warm-start path, the split LP's \
-             commodity grouping or the warm split router regress?"
+             commodity grouping, the warm split router or the split cut \
+             bound regress?"
         );
     }
 }

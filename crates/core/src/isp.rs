@@ -15,9 +15,10 @@
 //!    broken, select the contributing demand that is hardest to route
 //!    elsewhere (Decision 1), and re-route the largest safe amount `dx`
 //!    through `v_BC` (Decision 2 — an LP, skipped when a sequential
-//!    max-flow routing of the split at its upper bound already fits, and
-//!    otherwise solved with one flow commodity per shared demand endpoint;
-//!    see [`mcf::max_shared_split`]).
+//!    routing of the split at its upper bound already fits or a cut
+//!    proves that no split fits, and otherwise solved with one flow
+//!    commodity per shared demand endpoint; see [`mcf::max_shared_split`]
+//!    and [`mcf::split_cut_bound`]).
 //!
 //! The loop ends when the demand set is empty or routable on the working
 //! subgraph; the accumulated repair list is the recovery plan.
@@ -27,10 +28,11 @@
 //! answers it without the oracle, and that routing seeds Decision 2's
 //! [`mcf::WarmRouter`]: each split's certificate is routed from the
 //! routing of the last certified split, re-routing only the pairs whose
-//! flows no longer fit, and cold only when that fails. Answers are those
-//! of the cold routing and the LP: a certified split answers its bound,
-//! which is the LP's optimum whenever any routing at the bound exists.
-//! The warm state lives for one solve.
+//! flows no longer fit, and cold (in three orders) only when that fails.
+//! Answers are those of the LP: a certified split answers its bound,
+//! which is the LP's optimum whenever any routing at the bound exists,
+//! and a cut bound at or below `EPS` (1e-7) answers 0, which ISP treats as
+//! the LP's answer there (no split). The warm state lives for one solve.
 
 use crate::centrality::{demand_centrality, DemandCentrality, DynamicMetric};
 use crate::oracle::{EvalOracle, OracleSpec, OracleStats, DEFAULT_SIZE_THRESHOLD};
@@ -381,14 +383,17 @@ fn split_step(
     Ok(false)
 }
 
-/// Decision 2, exactly: a routing certificate at `upper`, else the split
-/// LP.
+/// Decision 2, exactly: a routing certificate at `upper`, else a cut
+/// that proves no split fits, else the split LP.
 ///
 /// The certificate is routed warm first, from the routing of the last
-/// certified split (or of the precheck); when that fails, cold, as
-/// [`mcf::max_shared_split`] routes it. A certified split at `cap`
-/// answers `cap` — the split LP's optimum whenever any routing at `cap`
-/// exists — and its routing becomes the router's next prior.
+/// certified split (or of the precheck); when that fails (or the router
+/// has no prior), cold, as [`mcf::max_shared_split`] routes it. A
+/// certified split at `cap` answers `cap` — the split LP's optimum
+/// whenever any routing at `cap` exists — and its routing becomes the
+/// router's next prior. A [`mcf::split_cut_bound`] at or below [`EPS`]
+/// caps the LP's optimum there, so it answers 0: ISP splits only above
+/// [`EPS`], which is what the LP's answer would decide too.
 fn exact_split_amount(
     state: &IspState<'_>,
     router: &mut WarmRouter,
@@ -400,17 +405,21 @@ fn exact_split_amount(
     let cap = upper.min(state.demands[h].amount).max(0.0);
     if cap > 0.0 {
         let at_cap = mcf::split_demands(&state.demands, h, vbc, cap);
-        let routed = router.route(&full, &at_cap).or_else(|| {
+        let routed = if router.is_warm() {
             router
-                .is_warm()
-                .then(|| mcf::route_sequentially(&full, &at_cap))
-                .flatten()
-        });
+                .route(&full, &at_cap)
+                .or_else(|| mcf::route_sequentially(&full, &at_cap))
+        } else {
+            mcf::route_sequentially(&full, &at_cap)
+        };
         if let Some(flows) = routed {
             debug_assert!(flows.routes(&full, &at_cap));
             router.keep(&at_cap, flows);
             return Ok(cap);
         }
+    }
+    if mcf::split_cut_bound(&full, &state.demands, h, vbc) <= EPS {
+        return Ok(0.0);
     }
     Ok(mcf::split_lp(&full, &state.demands, h, vbc, cap)?.unwrap_or(0.0))
 }

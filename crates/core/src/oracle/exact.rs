@@ -171,20 +171,22 @@ mod tests {
         assert_eq!(oracle.stats().lp_solves, 1);
     }
 
-    /// A triangle with one unit demand per pair. Routing each demand on
-    /// its own edge fits, but the sequential routing spreads the first
-    /// two demands over both of their paths and leaves the third none,
-    /// and no min-cut side is overloaded: only the LP settles it.
-    fn triangle() -> (Graph, [Demand; 3]) {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(g.node(0), g.node(1), 1.0).unwrap();
-        g.add_edge(g.node(1), g.node(2), 1.0).unwrap();
-        g.add_edge(g.node(0), g.node(2), 1.0).unwrap();
-        let demands = [
-            Demand::new(g.node(0), g.node(1), 1.0),
-            Demand::new(g.node(1), g.node(2), 1.0),
-            Demand::new(g.node(0), g.node(2), 1.0),
-        ];
+    /// Two gadgets side by side that no attempt of the sequential
+    /// routing fits, though the LP routes both, and no min-cut side is
+    /// overloaded: only the LP settles them. A unit 4-cycle 0–1–2–3 with
+    /// a unit demand across each diagonal: half of each around either
+    /// side fits, but a routing that stops at the amount sends the first
+    /// whole along one side, in any order, and cuts the other off. A
+    /// unit triangle 4–5–6 with a unit demand per pair: each fits on its
+    /// own edge, but spread over both of their paths in list order, the
+    /// first two leave the third none.
+    fn lp_only() -> (Graph, [Demand; 5]) {
+        let mut g = Graph::with_nodes(7);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (4, 6)] {
+            g.add_edge(g.node(u), g.node(v), 1.0).unwrap();
+        }
+        let demands = [(0, 2), (1, 3), (4, 5), (5, 6), (4, 6)]
+            .map(|(s, t)| Demand::new(g.node(s), g.node(t), 1.0));
         (g, demands)
     }
 
@@ -208,7 +210,7 @@ mod tests {
             );
         }
         assert_eq!(oracle.stats().lp_solves, 0, "{:?}", oracle.stats());
-        let (g, demands) = triangle();
+        let (g, demands) = lp_only();
         assert!(mcf::certify(&g.view(), &demands).is_none());
         assert!(oracle.is_routable(&g.view(), &demands).unwrap());
         assert_eq!(oracle.stats().lp_solves, 1, "{:?}", oracle.stats());
@@ -216,12 +218,16 @@ mod tests {
 
     #[test]
     fn repeated_capacity_patched_queries_warm_start() {
-        let (g, demands) = triangle();
+        let (g, demands) = lp_only();
         let oracle = ExactLp::new();
         // Same generation, different capacity states that no certificate
         // settles: later queries re-solve the same fixed-structure LP
         // warm.
-        for caps in [[1.0, 1.0, 1.0], [1.2, 1.0, 1.0], [1.0, 1.2, 1.0]] {
+        for caps in [
+            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+            [1.0, 1.0, 1.0, 1.0, 1.2, 1.0, 1.0],
+            [1.0, 1.0, 1.0, 1.0, 1.0, 1.2, 1.0],
+        ] {
             let view = g.view().with_capacities(&caps);
             assert!(mcf::certify(&view, &demands).is_none(), "{caps:?}");
             assert!(oracle.is_routable(&view, &demands).unwrap());
@@ -233,7 +239,7 @@ mod tests {
 
     #[test]
     fn generation_change_rebuilds_the_warm_system() {
-        let (g, demands) = triangle();
+        let (g, demands) = lp_only();
         let oracle = ExactLp::new();
         let smaller = demands.map(|d| Demand::new(d.source, d.target, 0.9));
         assert!(oracle.is_routable(&g.view(), &demands).unwrap());

@@ -36,18 +36,18 @@ impl RecoveryPlan {
         self.repaired_nodes.len() + self.repaired_edges.len()
     }
 
-    /// Total repair cost under the problem's cost vectors.
+    /// Total repair cost under the problem's cost vectors; `+0.0` for an
+    /// empty plan (an empty `f64` sum is `-0.0`, so the folds start from
+    /// `+0.0`).
     pub fn repair_cost(&self, problem: &RecoveryProblem) -> f64 {
-        let nodes: f64 = self
+        let nodes = self
             .repaired_nodes
             .iter()
-            .map(|&n| problem.node_cost(n))
-            .sum();
-        let edges: f64 = self
+            .fold(0.0, |sum, &n| sum + problem.node_cost(n));
+        let edges = self
             .repaired_edges
             .iter()
-            .map(|&e| problem.edge_cost(e))
-            .sum();
+            .fold(0.0, |sum, &e| sum + problem.edge_cost(e));
         nodes + edges
     }
 
@@ -65,13 +65,22 @@ impl RecoveryPlan {
     }
 
     /// Fraction of the total demand that the repaired network can satisfy,
-    /// in `[0, 1]` (1.0 when the total demand is zero). Computed with the
-    /// maximum-satisfied-demand LP on the post-repair working subgraph.
+    /// in `[0, 1]` (1.0 when the total demand is zero). A sequential
+    /// routing of every demand on the post-repair working subgraph
+    /// ([`mcf::route_sequentially`]) proves 1.0; otherwise the
+    /// maximum-satisfied-demand LP computes it.
     ///
     /// # Errors
     ///
     /// Propagates LP solver failures.
     pub fn satisfied_fraction(&self, problem: &RecoveryProblem) -> Result<f64, RecoveryError> {
+        let (nm, em) = self.repaired_masks(problem);
+        let view = problem.full_view().with_node_mask(&nm).with_edge_mask(&em);
+        if problem.total_demand() > 0.0
+            && mcf::route_sequentially(&view, &problem.demands()).is_some()
+        {
+            return Ok(1.0);
+        }
         self.satisfied_fraction_with(problem, &crate::oracle::ExactLp::new())
     }
 
@@ -165,6 +174,13 @@ mod tests {
         plan.repaired_edges = vec![EdgeId::new(0), EdgeId::new(1)];
         assert_eq!(plan.total_repairs(), 2);
         assert_eq!(plan.repair_cost(&p), 5.0);
+    }
+
+    #[test]
+    fn an_empty_plan_costs_positive_zero() {
+        let cost = RecoveryPlan::new("test").repair_cost(&broken_line());
+        assert!(cost == 0.0 && cost.is_sign_positive(), "{cost:?}");
+        assert_eq!(format!("{cost}"), "0");
     }
 
     #[test]

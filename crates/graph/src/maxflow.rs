@@ -160,6 +160,31 @@ impl Arcs {
 /// # Ok::<(), netrec_graph::GraphError>(())
 /// ```
 pub fn max_flow(view: &View<'_>, source: NodeId, sink: NodeId) -> MaxFlow {
+    max_flow_up_to(view, source, sink, f64::INFINITY)
+}
+
+/// [`max_flow`] that stops augmenting once the flow reaches `amount`:
+/// its value is `min(amount, max flow value)` up to rounding, and it
+/// carries that value on the shortest augmenting paths Dinic's phases
+/// find first, where the full max flow would spread over every path.
+/// An infinite `amount` is [`max_flow`].
+///
+/// # Example
+///
+/// ```
+/// use netrec_graph::{Graph, maxflow::max_flow_up_to};
+///
+/// let mut g = Graph::with_nodes(3);
+/// g.add_edge(g.node(0), g.node(2), 2.0)?;
+/// g.add_edge(g.node(0), g.node(1), 2.0)?;
+/// g.add_edge(g.node(1), g.node(2), 2.0)?;
+/// let f = max_flow_up_to(&g.view(), g.node(0), g.node(2), 1.5);
+/// assert_eq!(f.value, 1.5);
+/// // One hop carries it all; the two-hop route stays free.
+/// assert_eq!(f.edge_flow, vec![1.5, 0.0, 0.0]);
+/// # Ok::<(), netrec_graph::GraphError>(())
+/// ```
+pub fn max_flow_up_to(view: &View<'_>, source: NodeId, sink: NodeId, amount: f64) -> MaxFlow {
     let mut flow = MaxFlow {
         value: 0.0,
         edge_flow: vec![0.0; view.edge_count()],
@@ -171,7 +196,7 @@ pub fn max_flow(view: &View<'_>, source: NodeId, sink: NodeId) -> MaxFlow {
     }
     SCRATCH.with(|scratch| {
         let s = &mut *scratch.borrow_mut();
-        flow.value = s.solve(view, source, sink);
+        flow.value = s.solve(view, source, sink, amount);
         // Recover net per-edge flows from residual capacities, one arc
         // pair (forward u→v at `a`, reverse at `a ^ 1`) per edge:
         // forward residual = c - f_uv + f_vu; reverse residual = c - f_vu + f_uv
@@ -192,7 +217,11 @@ pub fn max_flow_value(view: &View<'_>, source: NodeId, sink: NodeId) -> f64 {
     if is_zero_flow(view, source, sink) {
         return 0.0;
     }
-    SCRATCH.with(|scratch| scratch.borrow_mut().solve(view, source, sink))
+    SCRATCH.with(|scratch| {
+        scratch
+            .borrow_mut()
+            .solve(view, source, sink, f64::INFINITY)
+    })
 }
 
 /// The two sides of a minimum cut, read off the residual graph of one
@@ -231,7 +260,7 @@ pub fn min_cut_sides(view: &View<'_>, source: NodeId, sink: NodeId) -> CutSides 
     }
     SCRATCH.with(|scratch| {
         let s = &mut *scratch.borrow_mut();
-        sides.value = s.solve(view, source, sink);
+        sides.value = s.solve(view, source, sink, f64::INFINITY);
         // The run ends on a BFS that did not reach the sink, so it
         // labelled every node the source reaches on residual arcs.
         for (side, &level) in sides.source_side.iter_mut().zip(&s.level) {
@@ -284,9 +313,10 @@ thread_local! {
 
 impl DinicScratch {
     /// Builds the arc pairs of `view` and runs Dinic's phases from
-    /// `source` to `sink` (distinct, both enabled); returns the flow
-    /// value and leaves the residual capacities in `arcs`.
-    fn solve(&mut self, view: &View<'_>, source: NodeId, sink: NodeId) -> f64 {
+    /// `source` to `sink` (distinct, both enabled) until no augmenting
+    /// path is left or the flow reaches `limit`; returns the flow value
+    /// and leaves the residual capacities in `arcs`.
+    fn solve(&mut self, view: &View<'_>, source: NodeId, sink: NodeId, limit: f64) -> f64 {
         let n = view.node_count();
         self.arcs.reset(n);
         for e in view.enabled_edges() {
@@ -304,7 +334,7 @@ impl DinicScratch {
         self.iter_arc.resize(n, NONE);
         let sink_index = sink.index() as u32;
         let mut value = 0.0;
-        loop {
+        while value < limit {
             // BFS to build the level graph on residual arcs. It stops
             // once it labels the sink: a node the BFS would label later
             // sits at the sink's level or beyond, where no level-
@@ -342,6 +372,7 @@ impl DinicScratch {
                 &mut self.path,
                 source.index() as u32,
                 sink_index,
+                limit - value,
             );
         }
         value
@@ -350,8 +381,8 @@ impl DinicScratch {
 
 /// One Dinic phase: finds a blocking flow in the level graph with an
 /// explicit-stack DFS (`path` holds the current arc chain), so 100k-node
-/// topologies cannot overflow the call stack. Returns the total value
-/// pushed this phase.
+/// topologies cannot overflow the call stack, and stops early once it
+/// has pushed `want`. Returns the total value pushed this phase.
 fn blocking_flow(
     arcs: &mut Arcs,
     level: &[u32],
@@ -359,6 +390,7 @@ fn blocking_flow(
     path: &mut Vec<u32>,
     source: u32,
     sink: u32,
+    want: f64,
 ) -> f64 {
     let mut total = 0.0;
     path.clear();
@@ -368,9 +400,10 @@ fn blocking_flow(
             None => source,
         };
         if u == sink {
-            // Augment by the path bottleneck, then retreat to the first
-            // saturated arc (everything before it stays usable).
-            let mut limit = f64::INFINITY;
+            // Augment by the path bottleneck (or what is still wanted),
+            // then retreat to the first saturated arc (everything before
+            // it stays usable).
+            let mut limit = want - total;
             for &a in path.iter() {
                 limit = limit.min(arcs.cap[a as usize]);
             }
@@ -379,6 +412,9 @@ fn blocking_flow(
                 arcs.cap[(a ^ 1) as usize] += limit;
             }
             total += limit;
+            if total >= want {
+                break;
+            }
             // The bottleneck arc's residual is exactly zero (x − x = 0),
             // so a saturated prefix cut always exists.
             let cut = path

@@ -1,6 +1,6 @@
 //! Property-based tests of the graph substrate on randomized inputs.
 
-use netrec_graph::{cut, dijkstra, maxflow, path, traversal, EdgeId, Graph, NodeId};
+use netrec_graph::{certificate, cut, dijkstra, maxflow, path, traversal, EdgeId, Graph, NodeId};
 use proptest::prelude::*;
 
 /// Random connected graph: a random tree over `n` nodes plus extra edges.
@@ -170,6 +170,51 @@ proptest! {
             let value = maxflow::max_flow_value(&view, s, t);
             let flow = maxflow::max_flow(&view, s, t);
             prop_assert_eq!(value.to_bits(), flow.value.to_bits());
+        }
+    }
+
+    /// The Dinic that stops at an amount carries `min(amount, max flow)`
+    /// as a flow the certificate checker accepts: it conserves that value
+    /// and fits the capacities, on masked graphs with residual
+    /// capacities, for amounts around the max flow and absolute ones.
+    #[test]
+    fn stopping_maxflow_carries_the_lesser_of_amount_and_max_flow(
+        g in arb_graph(),
+        a in 0usize..14,
+        b in 0usize..14,
+        node_codes in proptest::collection::vec(0u64..4, 1..14),
+        edge_codes in proptest::collection::vec(0u64..4, 1..28),
+        scale in proptest::collection::vec(0.0f64..1.5, 1..28),
+        fraction in 0.0f64..1.5,
+        absolute in 0.0f64..40.0,
+    ) {
+        let n = g.node_count();
+        let (s, t) = (g.node(a % n), g.node(b % n));
+        let (node_mask, edge_mask) = masks(&g, &node_codes, &edge_codes);
+        let caps: Vec<f64> = g
+            .edges()
+            .map(|e| g.capacity(e) * scale[e.index() % scale.len()])
+            .collect();
+        for view in [
+            g.view(),
+            g.view()
+                .with_node_mask(&node_mask)
+                .with_edge_mask(&edge_mask)
+                .with_capacities(&caps),
+        ] {
+            let most = maxflow::max_flow_value(&view, s, t);
+            for amount in [most * fraction, most, absolute] {
+                let flow = maxflow::max_flow_up_to(&view, s, t, amount);
+                prop_assert!(
+                    (flow.value - amount.min(most)).abs() <= 1e-9,
+                    "{} carried for min({}, {})", flow.value, amount, most
+                );
+                prop_assert!(certificate::routes_exactly(
+                    &view,
+                    &[(s, t, flow.value)],
+                    &[flow.edge_flow]
+                ));
+            }
         }
     }
 

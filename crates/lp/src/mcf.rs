@@ -11,7 +11,8 @@
 //!   the upper bound ([`route_sequentially`], or [`WarmRouter`] starting
 //!   from an earlier routing) certifies the answer without an LP; the LP
 //!   ([`split_lp`]) runs only when that routing fails, with one flow
-//!   commodity per shared endpoint rather than one per demand.
+//!   commodity per shared endpoint rather than one per demand. ISP also
+//!   asks [`split_cut_bound`] first, a cut that proves no split fits.
 //! * [`min_broken_flow`] — LP (8): route all demands while minimizing the
 //!   cost-weighted flow crossing broken edges (the multi-commodity
 //!   relaxation behind the MCB/MCW baselines).
@@ -24,7 +25,7 @@
 
 use crate::problem::{LinTerm, LpProblem, Relation, Sense, VarId};
 use crate::{revised, simplex, LpEngine, LpError, LpStatus};
-use netrec_graph::{certificate, maxflow, traversal, EdgeId, Graph, NodeId, View};
+use netrec_graph::{certificate, cut, maxflow, traversal, EdgeId, Graph, NodeId, View};
 use std::cmp::{Ordering, Reverse};
 
 /// A demand pair `(s_h, t_h)` with its flow requirement `d_h`.
@@ -333,13 +334,14 @@ fn triples(demands: &[Demand]) -> Vec<(NodeId, NodeId, f64)> {
 }
 
 /// Settles whether `view` can route `demands` without the LP, when a
-/// cheap proof exists. Three tiers, cheapest first:
+/// cheap proof exists. Four tiers, cheapest first:
 ///
 /// 1. **Components.** A positive demand with a masked endpoint, or with
 ///    endpoints in different components, is unroutable
 ///    ([`quick_unroutable`]).
-/// 2. **The sequential routing.** If [`route_sequentially`] fits every
-///    demand, its flows are a feasible multicommodity flow: routable.
+/// 2. **The sequential routing in list order.** If
+///    [`route_sequentially`]'s first attempt fits every demand, its
+///    flows are a feasible multicommodity flow: routable.
 /// 3. **Min-cut sides.** For each positive demand, the source side and
 ///    the sink side of a minimum cut of its own max flow on `view`
 ///    ([`maxflow::min_cut_sides`]). If the demand crossing one of them
@@ -347,6 +349,10 @@ fn triples(demands: &[Demand]) -> Vec<(NodeId, NodeId, f64)> {
 ///    instance is unroutable. Any node set is a sound cut; the residual
 ///    graph only chooses which sets to test. A demand more than the
 ///    margin above its own max flow always overloads its source side.
+/// 4. **The other routing attempts** of [`route_sequentially`]. They
+///    come after the cuts because most states that list order fails are
+///    unroutable, and a cut settles those for the price of about one
+///    routing.
 ///
 /// `None` leaves the question to the LP. A `Some` answers what
 /// [`routability`] answers: a routing is a solution of system (2), and
@@ -355,10 +361,12 @@ fn triples(demands: &[Demand]) -> Vec<(NodeId, NodeId, f64)> {
 pub fn certify(view: &View<'_>, demands: &[Demand]) -> Option<Certificate> {
     let certificate = if let Some(h) = disconnected_demand(view, demands) {
         Some(Certificate::Disconnected(h))
-    } else if let Some(flows) = route_sequentially(view, demands) {
+    } else if let Some(flows) = WarmRouter::default().route(view, demands) {
         Some(Certificate::Routing(flows))
+    } else if let Some(in_set) = overloaded_cut(view, demands) {
+        Some(Certificate::Cut(in_set))
     } else {
-        overloaded_cut(view, demands).map(Certificate::Cut)
+        route_again(view, demands).map(Certificate::Routing)
     };
     debug_assert!(
         certificate.as_ref().is_none_or(|c| c.check(view, demands)),
@@ -453,27 +461,64 @@ pub fn routability_with(
     }
 }
 
-/// Routes `demands` one at a time, in list order, each by a Dinic max
-/// flow on the capacity the earlier demands left, scaled down to its
-/// amount.
+/// Routes `demands` one at a time, each by a Dinic flow on the capacity
+/// the earlier demands left that stops at its amount
+/// ([`maxflow::max_flow_up_to`]): the demand takes the shortest
+/// augmenting paths it needs and leaves the rest for later demands.
 ///
-/// A demand fits when its max-flow value is at least its amount; its
-/// scaled flow then carries exactly the amount and stays within the
-/// residual capacity, and `|flow|` is charged against that capacity
-/// (clamped at 0) before the next demand routes. If every demand fits,
-/// the per-demand flows form a feasible multicommodity flow — a witness
-/// that the instance is routable, found without an LP. `None` means some
-/// demand did not fit in list order; the instance may still be routable
-/// (a joint routing can leave room a greedy one uses up), so `None`
-/// proves nothing.
+/// A demand fits when its flow reaches its amount; the flow then stays
+/// within the residual capacity, and `|flow|` is charged against that
+/// capacity (clamped at 0) before the next demand routes. If every
+/// demand fits, the per-demand flows form a feasible multicommodity
+/// flow — a witness that the instance is routable, found without an LP.
 ///
-/// `flow[h]` of the result belongs to `demands[h]`; zero-amount and
-/// degenerate (`source == target`) demands carry no flow, as in
-/// [`routability`].
+/// The demands route in list order first. When one does not fit, they
+/// route again in reverse order, then in decreasing-amount order (ties
+/// in list order); an order that repeats one already tried is skipped.
+/// Last, they route in list order with each demand spread over every
+/// path of its full max flow, scaled down to its amount: where two
+/// demands cross, half of each around either side can fit when every
+/// shortest-path order blocks one of them, so whatever that spread
+/// routing fits, this function fits too. `None` means no attempt fit
+/// every demand; the instance may still be routable (a joint routing
+/// can leave room a greedy one uses up), so `None` proves nothing.
 ///
-/// This is [`WarmRouter::route`] with an empty prior.
+/// `flow[h]` of the result belongs to `demands[h]`, whatever order
+/// routed it; zero-amount and degenerate (`source == target`) demands
+/// carry no flow, as in [`routability`].
+///
+/// The list-order attempt is [`WarmRouter::route`] with an empty prior.
 pub fn route_sequentially(view: &View<'_>, demands: &[Demand]) -> Option<FlowAssignment> {
-    WarmRouter::default().route(view, demands)
+    WarmRouter::default()
+        .route(view, demands)
+        .or_else(|| route_again(view, demands))
+}
+
+/// The attempts of [`route_sequentially`] after list order: reverse
+/// order, decreasing-amount order, then list order with spread flows.
+fn route_again(view: &View<'_>, demands: &[Demand]) -> Option<FlowAssignment> {
+    let cold = WarmRouter::default();
+    let listed: Vec<usize> = (0..demands.len()).collect();
+    let reverse = listed.iter().rev().copied().collect();
+    let mut by_amount = listed.clone();
+    // A stable sort: equal amounts keep list order.
+    by_amount.sort_by(|&a, &b| demands[b].amount.total_cmp(&demands[a].amount));
+    let mut tried = vec![listed];
+    for order in [reverse, by_amount] {
+        if tried.contains(&order) {
+            continue;
+        }
+        let permuted: Vec<Demand> = order.iter().map(|&h| demands[h]).collect();
+        if let Some(routed) = cold.route(view, &permuted) {
+            let mut flow = vec![Vec::new(); demands.len()];
+            for (&h, f) in order.iter().zip(routed.flow) {
+                flow[h] = f;
+            }
+            return Some(FlowAssignment { flow });
+        }
+        tried.push(order);
+    }
+    cold.route_with(view, demands, false)
 }
 
 /// [`route_sequentially`] that starts from an earlier feasible routing,
@@ -491,13 +536,14 @@ pub fn route_sequentially(view: &View<'_>, demands: &[Demand]) -> Option<FlowAss
 /// 2. drops every taken flow that crosses an edge whose summed `|flow|`
 ///    exceeds the edge's capacity in the view (a masked edge has none);
 /// 3. routes the remaining demands in list order as
-///    [`route_sequentially`] does, each by a Dinic max flow on the
-///    capacity the kept flows and earlier demands left.
+///    [`route_sequentially`] does, each by a Dinic flow that stops at its
+///    amount on the capacity the kept flows and earlier demands left.
 ///
 /// The kept flows conserve their demands' amounts and fit the
 /// capacities, so a `Some` is as much a feasible multicommodity flow
-/// as [`route_sequentially`]'s; with an empty prior the two are the
-/// same routine.
+/// as [`route_sequentially`]'s; with an empty prior the two route list
+/// order by the same routine. Only [`route_sequentially`] retries other
+/// orders and spread flows.
 #[derive(Debug, Clone, Default)]
 pub struct WarmRouter {
     prior: Vec<PairFlow>,
@@ -567,6 +613,18 @@ impl WarmRouter {
     /// The prior is left as it is; [`WarmRouter::keep`] a routing to
     /// start the next call from it.
     pub fn route(&self, view: &View<'_>, demands: &[Demand]) -> Option<FlowAssignment> {
+        self.route_with(view, demands, true)
+    }
+
+    /// [`WarmRouter::route`], with each re-routed demand's flow stopped
+    /// at its amount (`stop_at_amount`) or spread over every path of its
+    /// full max flow and scaled down to its amount.
+    fn route_with(
+        &self,
+        view: &View<'_>,
+        demands: &[Demand],
+        stop_at_amount: bool,
+    ) -> Option<FlowAssignment> {
         let m = view.edge_count();
         let mut residual: Vec<f64> = (0..m)
             .map(|e| view.capacity(EdgeId::new(e)).max(0.0))
@@ -606,7 +664,17 @@ impl WarmRouter {
                 flow.push(vec![0.0; m]);
                 continue;
             }
-            let routed = maxflow::max_flow(&view.with_capacities(&residual), d.source, d.target);
+            let limit = if stop_at_amount {
+                d.amount
+            } else {
+                f64::INFINITY
+            };
+            let routed = maxflow::max_flow_up_to(
+                &view.with_capacities(&residual),
+                d.source,
+                d.target,
+                limit,
+            );
             // Incomparable (NaN) values reject too.
             if matches!(
                 routed.value.partial_cmp(&d.amount),
@@ -666,6 +734,53 @@ pub fn split_demands(demands: &[Demand], h: usize, via: NodeId, dx: f64) -> Vec<
     all.push(Demand::new(split.source, via, dx));
     all.push(Demand::new(via, split.target, dx));
     all
+}
+
+/// An upper bound on the split [`max_shared_split`] answers, from cuts
+/// that separate `via` from both endpoints of demand `h`; `+∞` when none
+/// of the tested cuts does. A bound `≤ 0` proves that no split fits.
+///
+/// Let `U` hold `via` but neither `s_h` nor `t_h` (or the reverse). At
+/// any `dx`, demand `h` (reduced to `d_h − dx`) does not cross `U`, and
+/// both new pairs `(s_h, via, dx)` and `(via, t_h, dx)` do, so each unit
+/// of `dx` adds 2 units of demand crossing `U`. A routing needs the
+/// crossing demand to fit the crossing capacity, so every feasible `dx`
+/// satisfies `dx ≤ σ₀(U) / 2`, where `σ₀(U)` is [`cut::surplus`] of `U`
+/// for the split at `dx = 0`. That holds for any such `U`; the sides
+/// tested are the source and sink sides of the minimum cuts
+/// ([`maxflow::min_cut_sides`]) of `(via, s_h)`, `(via, t_h)` and every
+/// other active demand's pair, one cut per unordered pair. Demand `h`'s
+/// own pair is skipped: its sides always split `s_h` from `t_h`.
+///
+/// # Panics
+///
+/// Panics if `h` is out of range for `demands`.
+pub fn split_cut_bound(view: &View<'_>, demands: &[Demand], h: usize, via: NodeId) -> f64 {
+    assert!(h < demands.len(), "demand index out of range");
+    let (s, t) = (demands[h].source, demands[h].target);
+    let at_zero = triples(&split_demands(demands, h, via, 0.0));
+    // One cut per unordered pair, `h`'s own pair first so that it is
+    // never tested.
+    let mut pairs = vec![(s, t)];
+    let others = demands
+        .iter()
+        .filter(|d| d.is_active())
+        .map(|d| (d.source, d.target));
+    for (a, b) in [(via, s), (via, t)].into_iter().chain(others) {
+        if a != b && !pairs.iter().any(|&p| p == (a, b) || p == (b, a)) {
+            pairs.push((a, b));
+        }
+    }
+    let mut bound = f64::INFINITY;
+    for &(a, b) in &pairs[1..] {
+        let sides = maxflow::min_cut_sides(view, a, b);
+        for side in [sides.source_side, sides.sink_side] {
+            if side[via.index()] != side[s.index()] && side[s.index()] == side[t.index()] {
+                bound = bound.min(cut::surplus(view, &side, &at_zero) / 2.0);
+            }
+        }
+    }
+    bound
 }
 
 /// Decision 2 of ISP: the largest `dx ∈ [0, cap]` such that replacing
@@ -1505,60 +1620,114 @@ mod tests {
         assert_eq!(Some(dx), lp);
     }
 
+    /// A split that no attempt of the sequential routing fits, though
+    /// the LP routes it whole: a unit 4-cycle 0–1–2–3 (edges 0–3), a
+    /// pendant unit edge 4–0 (edge 4) and a unit triangle 5–6–7 (edges
+    /// 5–7), with unit demands (1, 3), `h` = (4, 2) split via 0, and
+    /// one per triangle pair. At dx = 1 the split asks for both
+    /// diagonals of the cycle, (1, 3) and (0, 2): half of each around
+    /// either side fits, but a routing that stops at the amount sends
+    /// the first whole along one side, in any order, and cuts the other
+    /// off. Each triangle pair fits on its own edge, but spread over
+    /// both of their paths in list order, the first two leave the third
+    /// none.
+    fn lp_only_split() -> (Graph, Vec<Demand>, Vec<Demand>) {
+        let mut g = Graph::with_nodes(8);
+        let edges = [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 0),
+            (4, 0),
+            (5, 6),
+            (6, 7),
+            (5, 7),
+        ];
+        for (u, v) in edges {
+            g.add_edge(g.node(u), g.node(v), 1.0).unwrap();
+        }
+        let demands: Vec<Demand> = [(1, 3), (4, 2), (5, 6), (6, 7), (5, 7)]
+            .into_iter()
+            .map(|(s, t)| Demand::new(g.node(s), g.node(t), 1.0))
+            .collect();
+        let at_cap = split_demands(&demands, 1, g.node(0), 1.0);
+        (g, demands, at_cap)
+    }
+
+    #[test]
+    fn sequential_routing_falls_back_to_spread_flows() {
+        // The 4-cycle of the split above alone, with its two diagonals:
+        // flows that stop at their amount fit in no order, flows spread
+        // over both sides of the cycle do.
+        let mut g = Graph::with_nodes(4);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            g.add_edge(g.node(u), g.node(v), 1.0).unwrap();
+        }
+        let diagonals = [(0, 2), (1, 3)].map(|(s, t)| Demand::new(g.node(s), g.node(t), 1.0));
+        assert!(WarmRouter::default().route(&g.view(), &diagonals).is_none());
+        let flows = route_sequentially(&g.view(), &diagonals).expect("spread flows fit");
+        assert_eq!(
+            flows.flow,
+            vec![vec![0.5, 0.5, -0.5, -0.5], vec![-0.5, 0.5, 0.5, -0.5]]
+        );
+    }
+
     #[test]
     fn max_split_falls_back_to_the_lp_when_list_order_routing_fails() {
-        // Triangle s=0, via=1, t=2: s–via 10, s–t 4, via–t 6. All 7 units
-        // of s→t fit through via: s→via on s–via alone, then via→t on
-        // via–t (6) plus via–s–t (1). Routing s→via first by max flow
-        // spreads it over both of its routes (5 on s–via, 2 on s–t–via),
-        // which leaves via→t only 4 + 2 = 6 < 7.
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(g.node(0), g.node(1), 10.0).unwrap();
-        g.add_edge(g.node(0), g.node(2), 4.0).unwrap();
-        g.add_edge(g.node(1), g.node(2), 6.0).unwrap();
-        let demands = [Demand::new(g.node(0), g.node(2), 7.0)];
-        let at_cap = split_demands(&demands, 0, g.node(1), 7.0);
+        let (g, demands, at_cap) = lp_only_split();
         assert!(route_sequentially(&g.view(), &at_cap).is_none());
         assert!(routability(&g.view(), &at_cap).unwrap().is_some());
         for engine in [LpEngine::Revised, LpEngine::Dense] {
-            let dx = max_shared_split_with(&g.view(), &demands, 0, g.node(1), 7.0, engine)
+            let dx = max_shared_split_with(&g.view(), &demands, 1, g.node(0), 1.0, engine)
                 .unwrap()
                 .unwrap();
-            assert!((dx - 7.0).abs() < 1e-6, "{engine:?}: {dx}");
-            let lp = split_lp_with(&g.view(), &demands, 0, g.node(1), 7.0, engine).unwrap();
+            assert!((dx - 1.0).abs() < 1e-6, "{engine:?}: {dx}");
+            let lp = split_lp_with(&g.view(), &demands, 1, g.node(0), 1.0, engine).unwrap();
             assert_eq!(Some(dx), lp, "{engine:?}");
         }
     }
 
     #[test]
     fn warm_router_keeps_a_prior_that_list_order_routing_misses() {
-        // The triangle above: with a prior that sends s→via on s–via
-        // alone and via→t as 6 on via–t plus 1 on via–s–t (written t→via
-        // to exercise the orientation), the warm router certifies the
-        // split the cold routing cannot.
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(g.node(0), g.node(1), 10.0).unwrap();
-        g.add_edge(g.node(0), g.node(2), 4.0).unwrap();
-        g.add_edge(g.node(1), g.node(2), 6.0).unwrap();
-        let demands = [Demand::new(g.node(0), g.node(2), 7.0)];
-        let at_cap = split_demands(&demands, 0, g.node(1), 7.0);
-        let prior_demands = [
-            Demand::new(g.node(0), g.node(1), 7.0),
-            Demand::new(g.node(2), g.node(1), 7.0),
-        ];
+        // The split above, with a prior that sends each diagonal half
+        // around either side of the cycle ((0, 2) written (2, 0) to
+        // exercise the orientation) and each triangle pair on its own
+        // edge: the warm router certifies the split the cold routing
+        // cannot.
+        let (g, _, at_cap) = lp_only_split();
+        let on_edge = |e: usize| {
+            let mut f = vec![0.0; 8];
+            f[e] = 1.0;
+            f
+        };
+        let diagonal = vec![-0.5, 0.5, 0.5, -0.5, 0.0, 0.0, 0.0, 0.0];
+        let other_diagonal = vec![0.5, 0.5, -0.5, -0.5, 0.0, 0.0, 0.0, 0.0];
+        let prior_demands = [(1, 3), (4, 0), (2, 0), (5, 6), (6, 7), (5, 7)]
+            .map(|(s, t)| Demand::new(g.node(s), g.node(t), 1.0));
         let prior_flows = FlowAssignment {
-            flow: vec![vec![7.0, 0.0, 0.0], vec![1.0, -1.0, -6.0]],
+            flow: vec![
+                diagonal.clone(),
+                on_edge(4),
+                other_diagonal.iter().map(|x| -x).collect(),
+                on_edge(5),
+                on_edge(6),
+                on_edge(7),
+            ],
         };
         let mut router = WarmRouter::default();
         router.keep(&prior_demands, prior_flows);
         let routed = router.route(&g.view(), &at_cap).expect("the prior fits");
         assert_eq!(
-            routed.flow[0],
-            vec![0.0; 3],
+            routed.flow[1],
+            vec![0.0; 8],
             "h carries nothing at dx = d_h"
         );
-        assert_eq!(routed.flow[1], vec![7.0, 0.0, 0.0]);
-        assert_eq!(routed.flow[2], vec![-1.0, 1.0, 6.0]);
+        assert_eq!(routed.flow[0], diagonal);
+        assert_eq!(
+            routed.flow[2..6],
+            [on_edge(5), on_edge(6), on_edge(7), on_edge(4)]
+        );
+        assert_eq!(routed.flow[6], other_diagonal);
         assert!(route_sequentially(&g.view(), &at_cap).is_none());
     }
 
