@@ -1,7 +1,7 @@
 //! LP engine benchmarks: sparse revised simplex vs the dense-tableau
 //! reference, cold and warm (DESIGN.md §11).
 //!
-//! Writes `BENCH_lp.json` with seven pairings:
+//! Writes `BENCH_lp.json` with eight pairings:
 //!
 //! * `routability_bell_dense` / `routability_bell_revised` — one
 //!   routability LP (system (2)) on the Bell-Canada instance's full view
@@ -14,6 +14,14 @@
 //!   iteration), whose certificate tier answers it with the sequential
 //!   routing before any LP. An oracle that solved the LP again would
 //!   read about 1x;
+//! * `routability_bell_unroutable_lp` / `routability_bell_split_cut` — an
+//!   unroutable Bell state whose overloaded cuts all separate several
+//!   demands (the `serve` workload's alternate demand set with five
+//!   edges down): the LP side is [`mcf::routability`], the cut side a
+//!   cold `ExactLp` whose certificate tier refutes the state with a
+//!   terminal split's min cut after every routing order and each
+//!   demand's own min-cut sides miss it. An oracle that solved the LP
+//!   there would read about 1x;
 //! * `routability_fig7_dense` / `routability_fig7_revised` — one
 //!   routability LP on the fig7-style n = 60 Erdős–Rényi topology;
 //! * `schedule_patches_cold` / `schedule_patches_warm` — the scheduler
@@ -47,8 +55,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use netrec_bench::{bell_instance, problem_for};
 use netrec_core::oracle::ExactLp;
+use netrec_core::EvalOracle;
 use netrec_core::RoutabilityOracle;
 use netrec_disrupt::DisruptionModel;
+use netrec_graph::{certificate, maxflow};
 use netrec_lp::mcf::{self, Demand, WarmRoutability, WarmRouter};
 use netrec_lp::LpEngine;
 use netrec_topology::demand::DemandSpec;
@@ -86,6 +96,58 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             ExactLp::new()
                 .is_routable(black_box(&bell_view), &demands)
+                .unwrap()
+        })
+    });
+
+    // The serve workload's alternate demand set on Bell with edges 3,
+    // 12, 30, 51 and 56 down: each demand fits its own min cut (20), but
+    // the endpoints {0, 1, 19} and {14, 15, 43, 47} are 40 units apart
+    // over a min cut of 30.
+    let topology = netrec_topology::bell::bell_canada();
+    let node = |i| topology.graph().node(i);
+    let mut up = vec![true; topology.graph().edge_count()];
+    for e in [3, 12, 30, 51, 56] {
+        up[e] = false;
+    }
+    let cut_view = topology.graph().view().with_edge_mask(&up);
+    let cut_demands =
+        [(15, 19), (1, 14), (0, 43), (19, 47)].map(|(s, t)| Demand::new(node(s), node(t), 10.0));
+    let asked: Vec<_> = cut_demands
+        .iter()
+        .map(|d| (d.source, d.target, d.amount))
+        .collect();
+    assert!(
+        cut_demands.iter().all(|d| {
+            let sides = maxflow::min_cut_sides(&cut_view, d.source, d.target);
+            [sides.source_side, sides.sink_side]
+                .iter()
+                .all(|side| !certificate::cut_overloaded(&cut_view, side, &asked))
+        }),
+        "no demand's own min-cut side may settle the state"
+    );
+    assert!(
+        mcf::route_sequentially(&cut_view, &cut_demands).is_none(),
+        "no routing order may fit the state"
+    );
+    assert!(
+        matches!(
+            mcf::certify(&cut_view, &cut_demands),
+            Some(mcf::Certificate::Cut(_))
+        ),
+        "the terminal-split tier must refute the state"
+    );
+    assert!(mcf::routability(&cut_view, &cut_demands).unwrap().is_none());
+    let cold = ExactLp::new();
+    assert!(!cold.is_routable(&cut_view, &cut_demands).unwrap());
+    assert_eq!(cold.stats().lp_solves, 0, "the cut must settle the state");
+    g.bench_function("routability_bell_unroutable_lp", |b| {
+        b.iter(|| mcf::routability(black_box(&cut_view), &cut_demands).unwrap())
+    });
+    g.bench_function("routability_bell_split_cut", |b| {
+        b.iter(|| {
+            ExactLp::new()
+                .is_routable(black_box(&cut_view), &cut_demands)
                 .unwrap()
         })
     });
@@ -155,9 +217,7 @@ fn bench(c: &mut Criterion) {
     // Demand 0 split via node 45 on the intact Bell graph: routed in list
     // order at the bound of 11 the split does not fit, and the LP's
     // optimum is 10.
-    let topology = netrec_topology::bell::bell_canada();
     let split_view = topology.graph().view();
-    let node = |i| topology.graph().node(i);
     let split_demands = [
         (38, 31, 11.0),
         (44, 13, 11.0),

@@ -7,7 +7,8 @@
 //! machine-speed-independent, so the gate catches gross regressions —
 //! a runtime path falling back to the dense tableau (the Bell pair's
 //! fast side is the production `mcf::routability`), an exact oracle that
-//! solves the LP where a certificate settles the question, a warm-start
+//! solves the LP where a certificate settles the question (a routing, or
+//! a terminal split's min cut), a warm-start
 //! path that stopped warm starting, a split LP back at one flow
 //! commodity per demand, a warm split router that stopped reusing its
 //! prior, a split cut bound that solved the LP — without flaking on slow
@@ -86,6 +87,15 @@ const GATES: &[(&str, &str, f64)] = &[
     (
         "routability_bell_revised",
         "routability_bell_certified",
+        10.0,
+    ),
+    // A cold exact oracle refutes an unroutable Bell state, whose
+    // overloaded cuts all separate several demands, with a terminal
+    // split's min cut, ~53× faster than the LP (31× in an earlier run).
+    // An oracle that solved the LP there would read ~1× ⇒ gate at 10×.
+    (
+        "routability_bell_unroutable_lp",
+        "routability_bell_split_cut",
         10.0,
     ),
     // Warm capacity-patch re-solves ≥ 5× faster than cold ⇒ gate at 2.5×.

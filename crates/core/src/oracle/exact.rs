@@ -9,9 +9,10 @@ use std::sync::Mutex;
 /// Exact backend: system (2) for routability, the maximum-satisfied-demand
 /// LP for satisfaction.
 ///
-/// A routability query runs [`mcf::certify`] first — components, then
-/// the sequential routing, then min-cut sides — and solves the LP only
-/// for what no certificate settles. Every verdict equals the LP's.
+/// A routability query runs [`mcf::certify`] first — components, the
+/// sequential routings, min-cut sides and terminal splits — and solves
+/// the LP only for what no certificate settles. Every verdict equals the
+/// LP's.
 ///
 /// The backend keeps a **per-generation [`WarmRoutability`] system**: consecutive routability
 /// queries against the same `(graph, demands)` instance are pure
@@ -172,10 +173,10 @@ mod tests {
     }
 
     /// Two gadgets side by side that no attempt of the sequential
-    /// routing fits, though the LP routes both, and no min-cut side is
-    /// overloaded: only the LP settles them. A unit 4-cycle 0–1–2–3 with
-    /// a unit demand across each diagonal: half of each around either
-    /// side fits, but a routing that stops at the amount sends the first
+    /// routing fits, though the LP routes both, and no cut is overloaded:
+    /// only the LP settles them. A unit 4-cycle 0–1–2–3 with a unit
+    /// demand across each diagonal: half of each around either side
+    /// fits, but a routing that stops at the amount sends the first
     /// whole along one side, in any order, and cuts the other off. A
     /// unit triangle 4–5–6 with a unit demand per pair: each fits on its
     /// own edge, but spread over both of their paths in list order, the
@@ -209,6 +210,19 @@ mod tests {
                 routable
             );
         }
+        assert_eq!(oracle.stats().lp_solves, 0, "{:?}", oracle.stats());
+        // 1.2 units across each diagonal of the unit 4-cycle: no routing
+        // fits, and each demand's min-cut sides ({s} and {t}) carry it,
+        // but the endpoint split {0, 1} | {2, 3} is crossed by 2.4 over a
+        // cut of 2, which the terminal-split tier finds.
+        let (g, _) = lp_only();
+        let crossed = [(0, 2), (1, 3)].map(|(s, t)| Demand::new(g.node(s), g.node(t), 1.2));
+        assert!(matches!(
+            mcf::certify(&g.view(), &crossed),
+            Some(mcf::Certificate::Cut(_))
+        ));
+        assert!(!oracle.is_routable(&g.view(), &crossed).unwrap());
+        assert!(mcf::routability(&g.view(), &crossed).unwrap().is_none());
         assert_eq!(oracle.stats().lp_solves, 0, "{:?}", oracle.stats());
         let (g, demands) = lp_only();
         assert!(mcf::certify(&g.view(), &demands).is_none());

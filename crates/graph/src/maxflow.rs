@@ -6,7 +6,10 @@
 //! the SRT heuristic. An undirected edge `{u, v}` of capacity `c` is modeled
 //! as a pair of opposed directed arcs of capacity `c` each; flow cancelation
 //! makes this equivalent to the undirected capacity constraint
-//! `|f(u→v) − f(v→u)| ≤ c` for a single commodity.
+//! `|f(u→v) − f(v→u)| ≤ c` for a single commodity. The routability
+//! certificates read minimum cuts off the same runs: between two
+//! terminals ([`min_cut_sides`]) or between two terminal sets
+//! ([`min_cut_between`]).
 
 use crate::{EdgeId, NodeId, Path, View};
 use std::collections::VecDeque;
@@ -286,6 +289,96 @@ pub fn min_cut_sides(view: &View<'_>, source: NodeId, sink: NodeId) -> CutSides 
     sides
 }
 
+/// The source side of a minimum cut between two node sets, read off one
+/// Dinic run ([`min_cut_between`]).
+#[derive(Debug, Clone)]
+pub struct TerminalCut {
+    /// The flow value, at most the run's limit.
+    pub value: f64,
+    /// `source_side[v]`: whether `v` is on the sources' side of the cut.
+    pub source_side: Vec<bool>,
+}
+
+/// The maximum flow from every node of `sources` to every node of
+/// `sinks`, stopped once it reaches `limit`, with the source side of a
+/// minimum cut between the two sets.
+///
+/// One Dinic run on [`max_flow`]'s per-thread scratch, from a virtual
+/// node joined to each source to a virtual node joined from each sink by
+/// arcs no cut can cross. If the value stays below `limit`, the flow is
+/// maximum and `source_side` marks the nodes the sources still reach in
+/// the residual graph: every source and no sink, crossed by enabled
+/// capacity equal to the value up to rounding. If the flow reaches
+/// `limit`, the run stops there with that value (up to rounding), and
+/// `source_side` marks the sources alone, since no cut below `limit`
+/// exists. A masked terminal has no enabled edge; it still sits on its
+/// own side.
+///
+/// # Panics
+///
+/// Panics if a node is both a source and a sink.
+///
+/// # Example
+///
+/// ```
+/// use netrec_graph::{Graph, maxflow::min_cut_between};
+///
+/// // Sources 0 and 1, sinks 2 and 3; node 4 hangs off source 0.
+/// let mut g = Graph::with_nodes(5);
+/// g.add_edge(g.node(0), g.node(2), 2.0)?;
+/// g.add_edge(g.node(1), g.node(3), 3.0)?;
+/// g.add_edge(g.node(0), g.node(1), 9.0)?;
+/// g.add_edge(g.node(2), g.node(3), 9.0)?;
+/// g.add_edge(g.node(0), g.node(4), 7.0)?;
+/// g.add_edge(g.node(4), g.node(2), 1.0)?;
+/// let (sources, sinks) = ([g.node(0), g.node(1)], [g.node(2), g.node(3)]);
+/// let cut = min_cut_between(&g.view(), &sources, &sinks, f64::INFINITY);
+/// assert_eq!(cut.value, 6.0);
+/// assert_eq!(cut.source_side, vec![true, true, false, false, true]);
+/// // Stopped at 4, the flow leaves no cut to read: the side is the sources.
+/// let stopped = min_cut_between(&g.view(), &sources, &sinks, 4.0);
+/// assert_eq!(stopped.value, 4.0);
+/// assert_eq!(stopped.source_side, vec![true, true, false, false, false]);
+/// # Ok::<(), netrec_graph::GraphError>(())
+/// ```
+pub fn min_cut_between(
+    view: &View<'_>,
+    sources: &[NodeId],
+    sinks: &[NodeId],
+    limit: f64,
+) -> TerminalCut {
+    let n = view.node_count();
+    let mut source_side = vec![false; n];
+    for &v in sources {
+        source_side[v.index()] = true;
+    }
+    assert!(
+        sinks.iter().all(|v| !source_side[v.index()]),
+        "a node is both a source and a sink"
+    );
+    let value = SCRATCH.with(|scratch| {
+        let s = &mut *scratch.borrow_mut();
+        s.build(view, n + 2);
+        let (from, to) = (NodeId::new(n), NodeId::new(n + 1));
+        for &v in sources {
+            s.arcs.add_pair(from, v, f64::INFINITY, 0.0, NONE);
+        }
+        for &v in sinks {
+            s.arcs.add_pair(v, to, f64::INFINITY, 0.0, NONE);
+        }
+        let value = s.run(from.index() as u32, to.index() as u32, limit);
+        if value < limit {
+            // As in `min_cut_sides`: the last BFS missed the sink and
+            // labelled every node the sources reach.
+            for (side, &level) in source_side.iter_mut().zip(&s.level) {
+                *side = level != NONE;
+            }
+        }
+        value
+    });
+    TerminalCut { value, source_side }
+}
+
 /// Whether the flow is zero without a search: equal or masked terminals.
 fn is_zero_flow(view: &View<'_>, source: NodeId, sink: NodeId) -> bool {
     source == sink || !view.node_enabled(source) || !view.node_enabled(sink)
@@ -317,8 +410,15 @@ impl DinicScratch {
     /// path is left or the flow reaches `limit`; returns the flow value
     /// and leaves the residual capacities in `arcs`.
     fn solve(&mut self, view: &View<'_>, source: NodeId, sink: NodeId, limit: f64) -> f64 {
-        let n = view.node_count();
-        self.arcs.reset(n);
+        self.build(view, view.node_count());
+        self.run(source.index() as u32, sink.index() as u32, limit)
+    }
+
+    /// Empties the arcs down to `nodes` per-node heads (the view's nodes
+    /// and any virtual ones after them) and adds one arc pair per enabled
+    /// edge of positive capacity.
+    fn build(&mut self, view: &View<'_>, nodes: usize) {
+        self.arcs.reset(nodes);
         for e in view.enabled_edges() {
             let c = view.capacity(e);
             if c <= 0.0 {
@@ -327,12 +427,17 @@ impl DinicScratch {
             let (u, v) = view.graph().endpoints(e);
             self.arcs.add_pair(u, v, c, c, e.index() as u32);
         }
+    }
 
+    /// Dinic's phases over the arcs [`DinicScratch::build`] left, from
+    /// node `source` to node `sink_index` (distinct), until no augmenting
+    /// path is left or the flow reaches `limit`.
+    fn run(&mut self, source: u32, sink_index: u32, limit: f64) -> f64 {
+        let n = self.arcs.first.len();
         self.level.clear();
         self.level.resize(n, NONE);
         self.iter_arc.clear();
         self.iter_arc.resize(n, NONE);
-        let sink_index = sink.index() as u32;
         let mut value = 0.0;
         while value < limit {
             // BFS to build the level graph on residual arcs. It stops
@@ -344,9 +449,9 @@ impl DinicScratch {
             for l in self.level.iter_mut() {
                 *l = NONE;
             }
-            self.level[source.index()] = 0;
+            self.level[source as usize] = 0;
             self.queue.clear();
-            self.queue.push_back(source.index() as u32);
+            self.queue.push_back(source);
             'bfs: while let Some(u) = self.queue.pop_front() {
                 let mut a = self.arcs.first[u as usize];
                 while a != NONE {
@@ -361,7 +466,7 @@ impl DinicScratch {
                     a = self.arcs.next[a as usize];
                 }
             }
-            if self.level[sink.index()] == NONE {
+            if self.level[sink_index as usize] == NONE {
                 break;
             }
             self.iter_arc.copy_from_slice(&self.arcs.first);
@@ -370,7 +475,7 @@ impl DinicScratch {
                 &self.level,
                 &mut self.iter_arc,
                 &mut self.path,
-                source.index() as u32,
+                source,
                 sink_index,
                 limit - value,
             );

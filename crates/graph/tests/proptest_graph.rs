@@ -218,6 +218,71 @@ proptest! {
         }
     }
 
+    /// The min cut between two node sets: its side holds every source and
+    /// no sink; while the flow stays below the limit, the side's enabled
+    /// crossing capacity is the flow value; the run stops at the limit,
+    /// leaving the sources alone on their side; and singleton sets give
+    /// the pair's `max_flow_value`. On masked graphs with residual
+    /// capacities, with terminals masked too.
+    #[test]
+    fn terminal_set_min_cut_separates_the_sets_at_the_flow_value(
+        g in arb_graph(),
+        a in 0usize..14,
+        b in 0usize..14,
+        roles in proptest::collection::vec(0u64..4, 14),
+        node_codes in proptest::collection::vec(0u64..4, 1..14),
+        edge_codes in proptest::collection::vec(0u64..4, 1..28),
+        scale in proptest::collection::vec(0.0f64..1.5, 1..28),
+        fraction in 0.0f64..1.0,
+        absolute in 0.0f64..40.0,
+    ) {
+        let n = g.node_count();
+        let (node_mask, edge_mask) = masks(&g, &node_codes, &edge_codes);
+        let caps: Vec<f64> = g
+            .edges()
+            .map(|e| g.capacity(e) * scale[e.index() % scale.len()])
+            .collect();
+        // Role 0 marks a source, 1 a sink, the rest neither.
+        let with_role = |role: u64| -> Vec<NodeId> {
+            g.nodes().filter(|v| roles[v.index()] == role).collect()
+        };
+        let (sources, sinks) = (with_role(0), with_role(1));
+        let only_sources: Vec<bool> = (0..n).map(|i| roles[i] == 0).collect();
+        for view in [
+            g.view(),
+            g.view()
+                .with_node_mask(&node_mask)
+                .with_edge_mask(&edge_mask)
+                .with_capacities(&caps),
+        ] {
+            let most = maxflow::min_cut_between(&view, &sources, &sinks, f64::INFINITY).value;
+            for limit in [f64::INFINITY, most * fraction, most, absolute] {
+                let cut = maxflow::min_cut_between(&view, &sources, &sinks, limit);
+                prop_assert!(sources.iter().all(|v| cut.source_side[v.index()]));
+                prop_assert!(sinks.iter().all(|v| !cut.source_side[v.index()]));
+                prop_assert!(
+                    (cut.value - limit.min(most)).abs() <= 1e-9,
+                    "{} carried for min({}, {})", cut.value, limit, most
+                );
+                if cut.value < limit {
+                    let crossing = cut::cut_capacity(&view, &cut.source_side);
+                    prop_assert!(
+                        (crossing - cut.value).abs() <= 1e-9,
+                        "side crossed by {} for a flow of {}", crossing, cut.value
+                    );
+                } else {
+                    prop_assert_eq!(&cut.source_side, &only_sources);
+                }
+            }
+            let (s, t) = (g.node(a % n), g.node(b % n));
+            if s != t {
+                let pair = maxflow::min_cut_between(&view, &[s], &[t], f64::INFINITY);
+                let value = maxflow::max_flow_value(&view, s, t);
+                prop_assert!((pair.value - value).abs() <= 1e-9, "{} vs {}", pair.value, value);
+            }
+        }
+    }
+
     /// Dijkstra under the unit metric equals BFS hop distance.
     #[test]
     fn dijkstra_unit_equals_bfs(g in arb_graph(), root in 0usize..14) {

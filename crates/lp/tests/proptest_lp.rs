@@ -2,12 +2,14 @@
 //! primal feasibility + weak duality witnesses, MILP vs exhaustive
 //! enumeration, concurrent-flow bounds vs the exact LP, the
 //! sequential-routing certificate of the Decision-2 split, cold and
-//! warm, the split's cut bound, and the split LP against the per-demand
-//! routability LP.
+//! warm, the split's cut bound, the split LP against the per-demand
+//! routability LP, and the routability certificates against the cut
+//! condition enumerated by brute force.
 
-use netrec_graph::{traversal, Graph, NodeId};
+use netrec_graph::certificate::{self, CUT_MARGIN};
+use netrec_graph::{cut, traversal, Graph, NodeId};
 use netrec_lp::concurrent::{max_concurrent_flow, ConcurrentFlowConfig};
-use netrec_lp::mcf::{self, Demand};
+use netrec_lp::mcf::{self, Certificate, Demand};
 use netrec_lp::milp::{self, BranchBoundConfig};
 use netrec_lp::{simplex, LpEngine, LpProblem, LpStatus, Relation, Sense};
 use proptest::prelude::*;
@@ -519,6 +521,76 @@ proptest! {
         }
         if let Some(dx) = lp {
             prop_assert!(cut >= dx - 1e-9, "cut bound {} below the LP's {}: {}", cut, dx, case);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `certify` against the cut condition enumerated by brute force over
+    /// every node subset, with no LP and no max flow: on graphs of at
+    /// most 9 nodes with 2–4 demands, a state with a set overloaded by
+    /// more than twice the cut margin is refuted by a cut or a
+    /// disconnected demand, every cut returned passes the checker, and
+    /// every verdict given is the LP's. Demands are drawn as they come,
+    /// or scaled so that the most overloaded set is overloaded by exactly
+    /// 0, half the margin or three margins: at, inside and past it.
+    #[test]
+    fn certify_decides_the_cut_condition_by_brute_force(
+        n in 2usize..10,
+        edges in proptest::collection::vec((0usize..64, 0usize..64, 0.0f64..6.0), 1..20),
+        pairs in proptest::collection::vec((0usize..64, 0usize..64, 0.5f64..5.0), 2..5),
+        overload in 0usize..4,
+    ) {
+        let g = small_graph(n, &edges);
+        let view = g.view();
+        let mut demands: Vec<Demand> = pairs
+            .iter()
+            .map(|&(s, t, amount)| Demand::new(g.node(s % n), g.node(t % n), amount))
+            .collect();
+        let triples = |demands: &[Demand]| -> Vec<(NodeId, NodeId, f64)> {
+            demands.iter().map(|d| (d.source, d.target, d.amount)).collect()
+        };
+        let subsets: Vec<Vec<bool>> = (1..(1u32 << n) - 1)
+            .map(|m| (0..n).map(|v| m >> v & 1 == 1).collect())
+            .collect();
+        if let Some(&target) = [0.0, CUT_MARGIN / 2.0, 3.0 * CUT_MARGIN].get(overload) {
+            // The least scale at which some set's overload reaches the
+            // target: no set is overloaded by more.
+            let asked = triples(&demands);
+            let scale = subsets
+                .iter()
+                .filter_map(|u| {
+                    let crossing = cut::cut_demand(u, &asked);
+                    (crossing > 0.0).then(|| (target + cut::cut_capacity(&view, u)) / crossing)
+                })
+                .fold(f64::INFINITY, f64::min);
+            if scale.is_finite() {
+                for d in &mut demands {
+                    d.amount *= scale;
+                }
+            }
+        }
+        let asked = triples(&demands);
+        let worst = subsets
+            .iter()
+            .map(|u| -cut::surplus(&view, u, &asked))
+            .fold(f64::NEG_INFINITY, f64::max);
+        let certificate = mcf::certify(&view, &demands);
+        let case = format!("demands {demands:?}, worst overload {worst}: {certificate:?}");
+        if worst > 2.0 * CUT_MARGIN {
+            prop_assert!(
+                matches!(certificate, Some(Certificate::Cut(_) | Certificate::Disconnected(_))),
+                "an overloaded state left unrefuted: {}", case
+            );
+        }
+        if let Some(Certificate::Cut(in_set)) = &certificate {
+            prop_assert!(certificate::cut_overloaded(&view, in_set, &asked), "{}", case);
+        }
+        if let Some(c) = &certificate {
+            let lp = mcf::routability(&view, &demands).unwrap().is_some();
+            prop_assert_eq!(c.is_routable(), lp, "{}", case);
         }
     }
 }

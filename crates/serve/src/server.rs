@@ -159,9 +159,10 @@ impl Default for SchedState {
 
 struct Scheduler {
     state: Mutex<SchedState>,
-    /// Wakes workers: work was queued, a session freed up, or the pool
-    /// is stopping. Only [`Scheduler::next`] waits on it, so
-    /// [`Scheduler::enqueue`]'s single wakeup always reaches a worker.
+    /// Wakes workers: one when work was queued or a finished job
+    /// re-queued its session, all when the pool is stopping and drained.
+    /// Only [`Scheduler::next`] waits on it, so each single wakeup
+    /// always reaches a worker.
     cv: Condvar,
     /// Wakes blocked admissions in [`Scheduler::reserve`] (the pause
     /// lifted, or `in_flight` fell) and the drain in
@@ -243,8 +244,17 @@ impl Scheduler {
     fn unreserve(&self, index: u64) {
         let mut st = self.lock();
         st.in_flight.remove(&index);
-        self.cv.notify_all();
+        self.wake_if_drained(&st);
         self.admit_cv.notify_all();
+    }
+
+    /// Wakes every worker once the pool is stopping and no admitted job
+    /// is left, so each sees the drain and exits. Short of that, a fall
+    /// in `in_flight` gives an idle worker nothing to do.
+    fn wake_if_drained(&self, st: &SchedState) {
+        if st.stopping && st.in_flight.is_empty() {
+            self.cv.notify_all();
+        }
     }
 
     /// Phase two of admission: queues a reserved job for the pool.
@@ -339,21 +349,25 @@ impl Scheduler {
     }
 
     /// Marks job `index` finished; re-queues the session if it has more
-    /// work.
+    /// work, and then wakes one worker for it. The finishing worker asks
+    /// for its next job right after, so a job that re-queues nothing
+    /// wakes no worker unless the pool has drained.
     fn complete(&self, session: String, index: u64, service_time: Duration) {
         let mut st = self.lock();
         st.active.remove(&session);
         let more = st.per_session.get(&session).is_some_and(|q| !q.is_empty());
-        if more {
-            if st.queued.insert(session.clone()) {
-                st.run_queue.push_back(session);
-            }
-        } else {
+        let requeued = more && st.queued.insert(session.clone());
+        if requeued {
+            st.run_queue.push_back(session);
+        } else if !more {
             st.per_session.remove(&session);
         }
         st.in_flight.remove(&index);
         st.ewma_us = 0.8 * st.ewma_us + 0.2 * service_time.as_micros() as f64;
-        self.cv.notify_all();
+        if requeued {
+            self.cv.notify_one();
+        }
+        self.wake_if_drained(&st);
         self.admit_cv.notify_all();
     }
 
