@@ -27,12 +27,14 @@
 //!   an `Arc` and own private overlays; a fork copies the overlay plus
 //!   the oracle's transferable witnesses, so what-if exploration never
 //!   perturbs the main line.
-//! * **Fairness** — a bounded worker pool with per-session FIFO and
-//!   round-robin across sessions, plus per-connection output
-//!   sequencing: stdout order always equals request order (CI diffs it
-//!   against goldens), yet a slow `query_plan` cannot starve another
-//!   session's routability queries. Per-request deadlines surface as
-//!   typed `deadline_exceeded` responses; the session survives.
+//! * **Fairness** — per-session FIFO with round-robin across sessions,
+//!   plus per-connection output sequencing: stdout order always equals
+//!   request order (CI diffs it against goldens), yet a slow
+//!   `query_plan` cannot starve another session's routability queries.
+//!   A client that waits for each reply is served on its connection's
+//!   own reader thread; a bounded worker pool takes pipelined input and
+//!   sessions busy elsewhere. Per-request deadlines surface as typed
+//!   `deadline_exceeded` responses; the session survives.
 //! * **Failure containment** — a panic while a request executes becomes
 //!   a typed `internal_error` reply and poisons only that session
 //!   (later requests against it answer `session_poisoned`); queue
@@ -46,7 +48,9 @@
 //! * **Durability** — with `--wal DIR`, every admitted request is
 //!   appended to a segmented, checksummed write-ahead log ([`wal`]) and
 //!   made durable per `--wal-sync` *before* its reply is released, so
-//!   no acknowledged event outlives the process only in memory. Boot
+//!   no acknowledged event outlives the process only in memory. The
+//!   append and the hand-off to the scheduler are one step, so the log
+//!   order is the execution order. Boot
 //!   replays checkpoint + log suffix deterministically (salvaging a
 //!   torn tail), replies carry `wal_seq`, and the `health` op reports
 //!   the durability counters — see `DESIGN.md` §16.

@@ -1,15 +1,28 @@
 //! Transports and scheduling around the [`Engine`].
 //!
-//! A [`Server`] owns a bounded worker pool fed by a per-session FIFO
-//! scheduler: requests for the same session execute strictly in arrival
-//! order (one at a time — the state-machine semantics clients rely on),
-//! while distinct sessions round-robin across workers, so a slow
-//! `query_plan` in one session cannot starve another session's
-//! routability queries.
+//! A *reader* (the stdin loop, or the thread of one TCP connection)
+//! frames request lines, gives each request its read-order index and
+//! output slot, and admits it: queue bounds, write-ahead append, and a
+//! place in a per-session FIFO scheduler, the last two in one step.
+//! Requests for the same session execute strictly in arrival order
+//! (one at a time — the state-machine semantics clients rely on).
+//! Who runs an admitted request:
+//!
+//! * **The reader itself**, when the client is waiting for the reply
+//!   (no bytes are buffered past the request's line) and the session
+//!   is idle with nothing queued. A closed-loop client, one request in
+//!   flight, never pays the hand-off to a worker and its wakeup.
+//! * **A pool worker** otherwise: pipelined input, where distinct
+//!   sessions round-robin across workers so a slow `query_plan` in one
+//!   session cannot starve another session's routability queries, and
+//!   requests for a session that another connection keeps busy.
+//!
+//! Both run the same routine (`run_job`), so a reply cannot depend
+//! on which thread produced it.
 //!
 //! Responses go through a per-connection **output sequencer**: every
 //! request gets a sequence number at read time, and response lines are
-//! written strictly in that order regardless of which worker finishes
+//! written strictly in that order regardless of which thread finishes
 //! first. Daemon output for a given input stream is therefore
 //! byte-deterministic — the property the CI golden diff and the replay
 //! determinism test pin — without giving up parallelism across
@@ -17,12 +30,13 @@
 //!
 //! # Failure containment (`DESIGN.md` §14)
 //!
-//! Workers run each dispatch under [`std::panic::catch_unwind`]: a
+//! Each dispatch runs under [`std::panic::catch_unwind`]: a
 //! panic while a request executes becomes a typed `internal_error`
 //! reply, poisons only that request's session (later requests against
 //! it get `session_poisoned`), and leaves every other session and the
 //! pool itself untouched. A worker that dies *outside* the protected
-//! region respawns, so pool capacity cannot decay. The scheduler is
+//! region respawns, so pool capacity cannot decay; a reader catches
+//! such a panic and keeps reading. The scheduler is
 //! bounded ([`ServerConfig`]): past the global or per-session queue
 //! limits, a TCP connection's requests are shed at read time with a
 //! typed `overloaded` error carrying a `retry_after_ms` hint from an
@@ -42,7 +56,7 @@ use crate::protocol::{Op, Request, Response};
 use crate::wal::Wal;
 use netrec_json::Json;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, ErrorKind, Write};
 use std::net::TcpListener;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,7 +116,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// One queued request: where to answer (connection + slot), the
+/// One admitted request: where to answer (connection + slot), the
 /// read-order request index (fault-schedule key), when it was admitted
 /// (deadline accounting starts here), and what to run.
 struct Job {
@@ -125,7 +139,7 @@ struct SchedState {
     run_queue: VecDeque<String>,
     /// Membership index for `run_queue` (no duplicate entries).
     queued: HashSet<String>,
-    /// Sessions a worker is currently executing.
+    /// Sessions a worker or a reader is currently executing.
     active: HashSet<String>,
     /// Read-order indices of the jobs admitted (reserved) and not yet
     /// completed: a `shutdown` waits until none below its own is left
@@ -138,6 +152,9 @@ struct SchedState {
     /// Set while a WAL checkpoint quiesces the pool: non-shutdown
     /// admissions block until the checkpoint installs.
     paused: bool,
+    /// Jobs handed to pool workers by [`Scheduler::next`].
+    #[cfg(test)]
+    pooled: u64,
 }
 
 impl Default for SchedState {
@@ -153,6 +170,8 @@ impl Default for SchedState {
             ewma_us: 1_000.0,
             stopping: false,
             paused: false,
+            #[cfg(test)]
+            pooled: 0,
         }
     }
 }
@@ -200,7 +219,7 @@ impl Scheduler {
     /// must stay reachable under any overload and cannot deadlock behind
     /// a quiesce. Admission is split from [`Scheduler::enqueue`] so the
     /// write-ahead append can sit between them — a request's log record
-    /// exists before any worker can see the job, and a checkpoint's
+    /// exists before any thread can run the job, and a checkpoint's
     /// drain barrier ([`Scheduler::pause_and_drain`]) cannot catch a
     /// request after its append but outside the state it snapshots.
     ///
@@ -257,9 +276,20 @@ impl Scheduler {
         }
     }
 
-    /// Phase two of admission: queues a reserved job for the pool.
-    fn enqueue(&self, session: String, job: Job) {
+    /// Phase two of admission: queues a reserved job for the pool, or
+    /// hands it back when `claim` is set and its session is idle with
+    /// nothing queued. A handed-back job's session is marked active, so
+    /// later requests for it queue behind it, and the caller must run
+    /// it ([`run_job`], which completes it).
+    fn enqueue(&self, session: String, job: Job, claim: bool) -> Option<(String, Job)> {
         let mut st = self.lock();
+        if claim
+            && !st.active.contains(&session)
+            && st.per_session.get(&session).is_none_or(VecDeque::is_empty)
+        {
+            st.active.insert(session.clone());
+            return Some((session, job));
+        }
         st.per_session
             .entry(session.clone())
             .or_default()
@@ -268,6 +298,7 @@ impl Scheduler {
             st.run_queue.push_back(session);
         }
         self.cv.notify_one();
+        None
     }
 
     /// Checkpoint quiesce: blocks new (non-shutdown) admissions and
@@ -330,6 +361,10 @@ impl Scheduler {
                 {
                     Some(job) => {
                         st.active.insert(session.clone());
+                        #[cfg(test)]
+                        {
+                            st.pooled += 1;
+                        }
                         return Some((session, job));
                     }
                     None => {
@@ -349,9 +384,10 @@ impl Scheduler {
     }
 
     /// Marks job `index` finished; re-queues the session if it has more
-    /// work, and then wakes one worker for it. The finishing worker asks
-    /// for its next job right after, so a job that re-queues nothing
-    /// wakes no worker unless the pool has drained.
+    /// work, and then wakes one worker for it. A finishing worker asks
+    /// for its next job right after, and a reader goes back to reading,
+    /// so a job that re-queues nothing wakes no worker unless the pool
+    /// has drained.
     fn complete(&self, session: String, index: u64, service_time: Duration) {
         let mut st = self.lock();
         st.active.remove(&session);
@@ -379,7 +415,7 @@ impl Scheduler {
 
 /// Per-connection response sequencer: responses are buffered until
 /// every earlier slot has been written, so output order equals request
-/// order no matter which worker finishes first.
+/// order no matter which thread finishes first.
 struct ConnOut {
     inner: Mutex<ConnOutInner>,
 }
@@ -561,7 +597,7 @@ impl ServeReport {
     }
 }
 
-/// State shared by the reader threads and the worker pool.
+/// State shared by the readers and the worker pool.
 struct Shared {
     engine: Arc<Engine>,
     sched: Scheduler,
@@ -569,6 +605,11 @@ struct Shared {
     /// The engine's write-ahead log, cached here so the read path can
     /// append without an engine call per line.
     wal: Option<Arc<Wal>>,
+    /// Held across a request's write-ahead append and its
+    /// [`Scheduler::enqueue`]: two readers that address one session
+    /// take log records in the order their jobs run, so recovery
+    /// replays exactly the history clients saw.
+    admission: Mutex<()>,
     /// Serializes checkpoint cycles: two readers may see
     /// `checkpoint_due` at once, and a second quiesce must not begin
     /// until the first has fully installed (resuming admissions while
@@ -579,9 +620,9 @@ struct Shared {
     /// key): assigned at *read* time, before any queueing, so the same
     /// input stream maps indices identically at any worker count.
     request_counter: AtomicU64,
-    /// Test hook: request index after which the executing worker
-    /// panics *post-delivery* (exercises the respawn path; `u64::MAX`
-    /// disarms). Fires once.
+    /// Test hook: request index after which the thread that ran it
+    /// panics *post-delivery* (exercises worker respawn and reader
+    /// survival; `u64::MAX` disarms). Fires once.
     #[cfg(test)]
     panic_after: AtomicU64,
 }
@@ -661,50 +702,66 @@ fn worker_loop(shared: Arc<Shared>, handles: Arc<Mutex<Vec<JoinHandle<()>>>>) {
         handles,
     };
     while let Some((session, job)) = shared.sched.next() {
-        let started = Instant::now();
-        let completer = CompleteGuard {
-            sched: &shared.sched,
-            session: Some(session),
-            index: job.index,
-            started,
-        };
-        // Panic isolation: a panicking dispatch unwinds through the
-        // session's MutexGuard (poisoning exactly that session) and is
-        // converted here into a typed reply. The message keeps only the
-        // panic text, which for injected faults is deterministic — the
-        // chaos replay diffs these lines byte-for-byte across worker
-        // counts.
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            shared
-                .engine
-                .dispatch_indexed(&job.req, job.index, Some(job.enqueued_at))
-        }));
-        let response = match result {
-            Ok(response) => response,
-            Err(payload) => Response::error(
-                Some(&job.req.id),
-                "internal_error",
-                &format!("worker panicked: {}", panic_message(payload)),
-            ),
-        };
-        // Replies for logged requests carry their record's sequence
-        // number — including internal_error replies, whose mutation
-        // (if any) is just as durable as the panic-free case.
-        let line = match job.wal_seq {
-            Some(seq) => response
-                .with_member("wal_seq", Json::Number(seq as f64))
-                .to_line(),
-            None => response.to_line(),
-        };
+        run_job(&shared, session, job);
+    }
+}
+
+/// Runs one claimed job of `session` to completion and delivers its
+/// reply: the one execution routine of pool workers and readers.
+fn run_job(shared: &Shared, session: String, job: Job) {
+    let started = Instant::now();
+    let completer = CompleteGuard {
+        sched: &shared.sched,
+        session: Some(session),
+        index: job.index,
+        started,
+    };
+    // Panic isolation: a panicking dispatch unwinds through the
+    // session's MutexGuard (poisoning exactly that session) and is
+    // converted here into a typed reply. The message keeps only the
+    // panic text, which for injected faults is deterministic — the
+    // chaos replay diffs these lines byte-for-byte across worker
+    // counts — and says "worker" whichever thread ran the request.
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         shared
-            .latencies
-            .record(job.req.op.name(), started.elapsed());
-        job.conn.deliver(job.seq, line);
-        drop(completer);
-        #[cfg(test)]
-        if shared.take_post_delivery_panic(job.index) {
-            panic!("test hook: post-delivery worker crash");
-        }
+            .engine
+            .dispatch_indexed(&job.req, job.index, Some(job.enqueued_at))
+    }));
+    let response = match result {
+        Ok(response) => response,
+        Err(payload) => Response::error(
+            Some(&job.req.id),
+            "internal_error",
+            &format!("worker panicked: {}", panic_message(payload)),
+        ),
+    };
+    // Replies for logged requests carry their record's sequence
+    // number — including internal_error replies, whose mutation
+    // (if any) is just as durable as the panic-free case.
+    let line = match job.wal_seq {
+        Some(seq) => response
+            .with_member("wal_seq", Json::Number(seq as f64))
+            .to_line(),
+        None => response.to_line(),
+    };
+    shared
+        .latencies
+        .record(job.req.op.name(), started.elapsed());
+    job.conn.deliver(job.seq, line);
+    drop(completer);
+    #[cfg(test)]
+    if shared.take_post_delivery_panic(job.index) {
+        panic!("test hook: post-delivery crash");
+    }
+}
+
+/// Runs a job the reader claimed, on the reader's thread. A dispatch
+/// panic is contained inside [`run_job`] as on a worker; a panic
+/// outside dispatch is caught here, because nothing would replace a
+/// dead reader (on stdin it is the main thread).
+fn run_on_reader(shared: &Shared, session: String, job: Job) {
+    if std::panic::catch_unwind(AssertUnwindSafe(|| run_job(shared, session, job))).is_err() {
+        eprintln!("serve: reader survived a panic outside dispatch isolation");
     }
 }
 
@@ -732,6 +789,7 @@ impl Server {
             sched: Scheduler::new(workers, &config),
             latencies: Latencies::default(),
             wal,
+            admission: Mutex::new(()),
             checkpoint_lock: Mutex::new(()),
             request_counter: AtomicU64::new(0),
             #[cfg(test)]
@@ -754,11 +812,11 @@ impl Server {
         &self.shared.engine
     }
 
-    /// Test hook: the executing worker panics (post-delivery) after the
-    /// request with read-order index `index` — exercises worker
-    /// respawn.
+    /// Test hook: the thread that runs the request with read-order
+    /// index `index` panics after delivering its reply — exercises
+    /// worker respawn and reader survival.
     #[cfg(test)]
-    fn panic_worker_after(&self, index: u64) {
+    fn panic_after(&self, index: u64) {
         self.shared.panic_after.store(index, Ordering::SeqCst);
     }
 
@@ -766,12 +824,15 @@ impl Server {
     /// `shutdown` request is read. Returns the number of lines read.
     ///
     /// Lines are sequenced as they arrive: protocol rejections and
-    /// overload sheds answer immediately through the sequencer, valid
-    /// requests queue for the pool. After a `shutdown` line the reader
+    /// overload sheds answer immediately through the sequencer. A valid
+    /// request runs on this thread when the client is waiting for it
+    /// (no bytes buffered past its line) and its session is idle, and
+    /// queues for the pool otherwise. After a `shutdown` line the reader
     /// stops consuming input ("stop accepting"); its response still
-    /// flushes once the queue drains.
+    /// flushes once the queue drains. A final line without a newline is
+    /// served like any other.
     pub fn serve_connection(&self, reader: impl BufRead, sink: Box<dyn Write + Send>) -> usize {
-        self.serve_lines(reader, sink, Admission::Shed)
+        serve_lines(&self.shared, reader, sink, Admission::Shed, Tail::Request)
     }
 
     /// Serves the daemon's stdin like [`Server::serve_connection`],
@@ -781,34 +842,7 @@ impl Server {
     /// the pool drains (backpressure through the pipe), so a request
     /// file replays to the same replies at every worker count.
     pub fn serve_stdin(&self, reader: impl BufRead, sink: Box<dyn Write + Send>) -> usize {
-        self.serve_lines(reader, sink, Admission::Wait)
-    }
-
-    /// The line loop of [`Server::serve_connection`] and
-    /// [`Server::serve_stdin`].
-    fn serve_lines(
-        &self,
-        reader: impl BufRead,
-        sink: Box<dyn Write + Send>,
-        admission: Admission,
-    ) -> usize {
-        let conn = Arc::new(ConnOut::new(sink));
-        let mut seq = 0u64;
-        for line in reader.lines() {
-            let line = match line {
-                Ok(line) => line,
-                Err(_) => break,
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let slot = seq;
-            seq += 1;
-            if read_one_line(&self.shared, &conn, slot, &line, admission) {
-                break;
-            }
-        }
-        seq as usize
+        serve_lines(&self.shared, reader, sink, Admission::Wait, Tail::Request)
     }
 
     /// Accepts TCP connections until the engine shuts down, one thread
@@ -839,7 +873,8 @@ impl Server {
                     let handle = {
                         let shared = Arc::clone(&self.shared);
                         std::thread::spawn(move || {
-                            serve_tcp_connection(shared, stream, sink);
+                            let reader = std::io::BufReader::new(stream);
+                            serve_lines(&shared, reader, sink, Admission::Shed, Tail::Torn);
                         })
                     };
                     self.conn_threads
@@ -906,123 +941,281 @@ impl Server {
     }
 }
 
-/// Handles one read line: parse, index, write-ahead log, admit (or
-/// shed, or wait, per the transport's `admission`), and reply inline
-/// for protocol errors and `health`. Returns `true` when the line was a
+/// What a transport makes of the bytes after the last newline when its
+/// input ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tail {
+    /// A final request that lacks its newline (stdin and in-process
+    /// connections: a request file need not end in one).
+    Request,
+    /// A torn line, dropped undispatched (TCP: the client hung up
+    /// mid-request).
+    Torn,
+}
+
+/// Splits a byte stream into lines with `fill_buf`/`consume`. Unlike
+/// [`BufRead::lines`], it tells whether more input was already
+/// buffered behind a line, keeps a partial line across a read timeout,
+/// and leaves UTF-8 decoding to its caller.
+struct Framer<R> {
+    reader: R,
+    /// The line being assembled.
+    partial: Vec<u8>,
+    /// The last line handed out.
+    line: Vec<u8>,
+}
+
+/// One step of a [`Framer`].
+enum Frame<'a> {
+    /// A line without its newline (or a trailing `\r`). `pipelined`:
+    /// bytes past its newline were already buffered, so the client sent
+    /// more without waiting for this reply.
+    Line(&'a [u8], bool),
+    /// A read timed out before the next newline; the partial line is
+    /// kept.
+    Idle,
+    /// End of input, with the bytes after the last newline (none after
+    /// a read error).
+    End(&'a [u8]),
+}
+
+impl<R: BufRead> Framer<R> {
+    fn new(reader: R) -> Self {
+        Framer {
+            reader,
+            partial: Vec::new(),
+            line: Vec::new(),
+        }
+    }
+
+    fn next(&mut self) -> Frame<'_> {
+        loop {
+            let chunk = match self.reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Frame::Idle
+                }
+                Err(_) => {
+                    self.partial.clear();
+                    return Frame::End(&[]);
+                }
+            };
+            if chunk.is_empty() {
+                std::mem::swap(&mut self.line, &mut self.partial);
+                self.partial.clear();
+                return Frame::End(&self.line);
+            }
+            match chunk.iter().position(|&b| b == b'\n') {
+                Some(end) => {
+                    self.partial.extend_from_slice(&chunk[..end]);
+                    let pipelined = end + 1 < chunk.len();
+                    self.reader.consume(end + 1);
+                    std::mem::swap(&mut self.line, &mut self.partial);
+                    self.partial.clear();
+                    let line = self.line.strip_suffix(b"\r").unwrap_or(&self.line);
+                    return Frame::Line(line, pipelined);
+                }
+                None => {
+                    let len = chunk.len();
+                    self.partial.extend_from_slice(chunk);
+                    self.reader.consume(len);
+                }
+            }
+        }
+    }
+}
+
+/// The read loop of every transport: frames lines, admits each request
+/// (shedding or waiting past the bounds, per `admission`), and answers
+/// a line that is not UTF-8 with a `parse` error. Returns the number of
+/// lines read.
+fn serve_lines(
+    shared: &Shared,
+    reader: impl BufRead,
+    sink: Box<dyn Write + Send>,
+    admission: Admission,
+    tail: Tail,
+) -> usize {
+    let conn = Arc::new(ConnOut::new(sink));
+    let mut framer = Framer::new(reader);
+    let mut seq = 0u64;
+    loop {
+        let (bytes, waiting, last) = match framer.next() {
+            Frame::Line(bytes, pipelined) => (bytes, !pipelined, false),
+            // A read timeout (TCP) only polls the shutdown latch.
+            Frame::Idle if shared.engine.is_shutting_down() => break,
+            Frame::Idle => continue,
+            Frame::End(bytes) if tail == Tail::Request => (bytes, true, true),
+            Frame::End(_) => break,
+        };
+        let stop = match std::str::from_utf8(bytes) {
+            Ok(line) if line.trim().is_empty() => false,
+            Ok(line) => {
+                seq += 1;
+                read_one_line(shared, &conn, seq - 1, line, admission, waiting)
+            }
+            Err(e) => {
+                seq += 1;
+                let started = Instant::now();
+                let response = Response::error(
+                    None,
+                    "parse",
+                    &format!("request line is not valid UTF-8: {e}"),
+                );
+                answer_now(shared, &conn, seq - 1, PROTOCOL_ERROR_OP, started, response);
+                false
+            }
+        };
+        if stop || last {
+            break;
+        }
+    }
+    seq as usize
+}
+
+/// Delivers a reply produced on the read path without running the
+/// request, timed from `started` under latency class `class`.
+fn answer_now(
+    shared: &Shared,
+    conn: &ConnOut,
+    slot: u64,
+    class: &str,
+    started: Instant,
+    response: Response,
+) {
+    shared.latencies.record(class, started.elapsed());
+    conn.deliver(slot, response.to_line());
+}
+
+/// Handles one read line: parse, index, admit (or shed, or wait, per
+/// the transport's `admission`), and reply on the spot for protocol
+/// errors and `health`. An admitted request runs on this thread when
+/// its client is `waiting` for the reply and its session is idle, and
+/// queues for the pool otherwise. Returns `true` when the line was a
 /// `shutdown` request (the reader should stop consuming input).
 fn read_one_line(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     conn: &Arc<ConnOut>,
     slot: u64,
     line: &str,
     admission: Admission,
+    waiting: bool,
 ) -> bool {
-    match Request::parse(line) {
-        Ok(req) => {
-            // Replies answered here, on the read path, are timed from
-            // parse to delivery.
-            let started = Instant::now();
-            // Health answers at read time: shed-exempt (it must work
-            // *because* the daemon is overloaded), consumes no request
-            // index (a polling supervisor must not shift the fault
-            // schedule), and is never WAL-logged (probes are not
-            // events).
-            if matches!(req.op, Op::Health) {
-                let response = shared
-                    .engine
-                    .health_response(&req.id, Some(shared.sched.depth()));
-                shared.latencies.record(req.op.name(), started.elapsed());
-                conn.deliver(slot, response.to_line());
-                return false;
-            }
-            let is_shutdown = matches!(req.op, Op::Shutdown);
-            let index = shared.request_counter.fetch_add(1, Ordering::SeqCst);
-            // Bounded-log maintenance rides the read path: when enough
-            // records have accumulated, quiesce, snapshot every
-            // session, and truncate — *before* this request is
-            // admitted, so its own record lands after the checkpoint.
-            if let Some(wal) = &shared.wal {
-                if wal.checkpoint_due() {
-                    checkpoint_now(shared, wal);
-                }
-            }
-            // Shutdown answers after everything read before it, so its
-            // `sessions` count does not depend on the worker count.
-            if is_shutdown {
-                shared.sched.await_earlier(index);
-            }
-            let admission = if is_shutdown {
-                Admission::Force
-            } else {
-                admission
-            };
-            if let Err(retry_after_ms) = shared.sched.reserve(req.session_name(), index, admission)
-            {
-                let response = Response::error_with(
-                    Some(&req.id),
-                    "overloaded",
-                    "queue full; retry after the hinted backoff",
-                    vec![("retry_after_ms", Json::Number(retry_after_ms as f64))],
-                );
-                shared.latencies.record(SHED_OP, started.elapsed());
-                conn.deliver(slot, response.to_line());
-                return is_shutdown;
-            }
-            // Write-ahead: the admitted request is logged and made
-            // durable per policy before any worker can execute it. The
-            // injected crash faults fire here — after admission, at or
-            // mid-append — the exact window the kill-loop harness
-            // sweeps. Shed requests above were never logged: no reply
-            // was promised, so no durability is owed.
-            let mut wal_seq = None;
-            if let Some(wal) = &shared.wal {
-                let faults = shared
-                    .engine
-                    .fault_plan()
-                    .map(|plan| plan.faults_at(index))
-                    .unwrap_or_default();
-                wal.crash_abort(&faults);
-                wal.torn_abort(line, &faults);
-                match wal.append_line(line) {
-                    Ok(seq) => wal_seq = Some(seq),
-                    Err(e) => {
-                        // Unlogged means unexecuted: release the slot
-                        // and refuse, or the reply would acknowledge an
-                        // event recovery cannot reproduce.
-                        shared.sched.unreserve(index);
-                        let response = Response::error(
-                            Some(&req.id),
-                            "io_error",
-                            &format!("write-ahead append failed; event not accepted: {e}"),
-                        );
-                        shared.latencies.record(WAL_REFUSED_OP, started.elapsed());
-                        conn.deliver(slot, response.to_line());
-                        return is_shutdown;
-                    }
-                }
-            }
-            let session = req.session_name().to_string();
-            let job = Job {
-                conn: Arc::clone(conn),
-                seq: slot,
-                index,
-                enqueued_at: Instant::now(),
-                wal_seq,
-                req,
-            };
-            shared.sched.enqueue(session, job);
-            is_shutdown
-        }
+    let parsed = Request::parse(line);
+    // Replies answered here, on the read path, are timed from parse to
+    // delivery.
+    let started = Instant::now();
+    let req = match parsed {
+        Ok(req) => req,
         Err(e) => {
-            let started = Instant::now();
-            let response = Response::from(&e);
-            shared
-                .latencies
-                .record(PROTOCOL_ERROR_OP, started.elapsed());
-            conn.deliver(slot, response.to_line());
-            false
+            answer_now(
+                shared,
+                conn,
+                slot,
+                PROTOCOL_ERROR_OP,
+                started,
+                Response::from(&e),
+            );
+            return false;
+        }
+    };
+    // Health answers at read time: shed-exempt (it must work *because*
+    // the daemon is overloaded), consumes no request index (a polling
+    // supervisor must not shift the fault schedule), and is never
+    // WAL-logged (probes are not events).
+    if matches!(req.op, Op::Health) {
+        let response = shared
+            .engine
+            .health_response(&req.id, Some(shared.sched.depth()));
+        answer_now(shared, conn, slot, req.op.name(), started, response);
+        return false;
+    }
+    let is_shutdown = matches!(req.op, Op::Shutdown);
+    let index = shared.request_counter.fetch_add(1, Ordering::SeqCst);
+    // Bounded-log maintenance rides the read path: when enough records
+    // have accumulated, quiesce, snapshot every session, and truncate —
+    // *before* this request is admitted, so its own record lands after
+    // the checkpoint.
+    if let Some(wal) = &shared.wal {
+        if wal.checkpoint_due() {
+            checkpoint_now(shared, wal);
         }
     }
+    // Shutdown answers after everything read before it, so its
+    // `sessions` count does not depend on the worker count.
+    if is_shutdown {
+        shared.sched.await_earlier(index);
+    }
+    let admission = if is_shutdown {
+        Admission::Force
+    } else {
+        admission
+    };
+    if let Err(retry_after_ms) = shared.sched.reserve(req.session_name(), index, admission) {
+        let response = Response::error_with(
+            Some(&req.id),
+            "overloaded",
+            "queue full; retry after the hinted backoff",
+            vec![("retry_after_ms", Json::Number(retry_after_ms as f64))],
+        );
+        answer_now(shared, conn, slot, SHED_OP, started, response);
+        return is_shutdown;
+    }
+    // One admission step: the write-ahead append and the hand-off to the
+    // scheduler share one lock, so requests from different connections
+    // take log records in the order their session runs them. Write-ahead:
+    // the request is logged and made durable per policy before any
+    // thread can run it. The injected crash faults fire here — after
+    // admission, at or mid-append — the exact window the kill-loop
+    // harness sweeps. Shed requests above were never logged: no reply
+    // was promised, so no durability is owed.
+    let order = shared
+        .admission
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let mut wal_seq = None;
+    if let Some(wal) = &shared.wal {
+        let faults = shared
+            .engine
+            .fault_plan()
+            .map(|plan| plan.faults_at(index))
+            .unwrap_or_default();
+        wal.crash_abort(&faults);
+        wal.torn_abort(line, &faults);
+        match wal.append_line(line) {
+            Ok(seq) => wal_seq = Some(seq),
+            Err(e) => {
+                drop(order);
+                // Unlogged means unexecuted: release the slot and
+                // refuse, or the reply would acknowledge an event
+                // recovery cannot reproduce.
+                shared.sched.unreserve(index);
+                let response = Response::error(
+                    Some(&req.id),
+                    "io_error",
+                    &format!("write-ahead append failed; event not accepted: {e}"),
+                );
+                answer_now(shared, conn, slot, WAL_REFUSED_OP, started, response);
+                return is_shutdown;
+            }
+        }
+    }
+    let session = req.session_name().to_string();
+    let job = Job {
+        conn: Arc::clone(conn),
+        seq: slot,
+        index,
+        enqueued_at: Instant::now(),
+        wal_seq,
+        req,
+    };
+    let claimed = shared.sched.enqueue(session, job, waiting);
+    drop(order);
+    if let Some((session, job)) = claimed {
+        run_on_reader(shared, session, job);
+    }
+    is_shutdown
 }
 
 /// One checkpoint cycle: quiesce the pool, snapshot every session at
@@ -1053,56 +1246,6 @@ fn checkpoint_now(shared: &Shared, wal: &Arc<Wal>) {
         Err(why) => eprintln!("serve: wal checkpoint skipped: {why}"),
     }
     shared.sched.resume();
-}
-
-/// The TCP connection loop: like [`Server::serve_connection`] but
-/// tolerant of read timeouts (used to poll the shutdown latch) and of
-/// clients that disconnect mid-request — a torn trailing line without
-/// its newline is dropped, never dispatched.
-fn serve_tcp_connection(
-    shared: Arc<Shared>,
-    stream: std::net::TcpStream,
-    sink: Box<dyn Write + Send>,
-) {
-    let conn = Arc::new(ConnOut::new(sink));
-    let mut seq = 0u64;
-    let mut buf = Vec::new();
-    let mut byte = [0u8; 1];
-    let mut reader = std::io::BufReader::new(stream);
-    'outer: loop {
-        // Byte-at-a-time through a BufReader: simple, timeout-safe
-        // line framing (read_line would lose partial data on timeout).
-        buf.clear();
-        loop {
-            match reader.read(&mut byte) {
-                Ok(0) => break 'outer,
-                Ok(_) => {
-                    if byte[0] == b'\n' {
-                        break;
-                    }
-                    buf.push(byte[0]);
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if shared.engine.is_shutting_down() {
-                        break 'outer;
-                    }
-                }
-                Err(_) => break 'outer,
-            }
-        }
-        let line = String::from_utf8_lossy(&buf).into_owned();
-        if line.trim().is_empty() {
-            continue;
-        }
-        let slot = seq;
-        seq += 1;
-        if read_one_line(&shared, &conn, slot, &line, Admission::Shed) {
-            break;
-        }
-    }
 }
 
 /// Convenience harness: run `input` (a whole JSONL stream) through a
@@ -1159,7 +1302,7 @@ mod tests {
     use netrec_core::solver::SolverSpec;
     use netrec_core::{FaultPlan, RecoveryProblem};
     use netrec_graph::Graph;
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpStream;
     use std::path::{Path, PathBuf};
 
@@ -1424,7 +1567,7 @@ not json at all
         // the remaining requests would never execute and finish() would
         // hang on an undrained queue.
         let server = Server::with_config(engine(), 1, ServerConfig::default());
-        server.panic_worker_after(1);
+        server.panic_after(1);
         let out = SharedBuf::default();
         server.serve_connection(STREAM.as_bytes(), Box::new(out.clone()));
         let report = server.finish();
@@ -1708,6 +1851,38 @@ not json at all
         );
     }
 
+    #[test]
+    fn tcp_answers_a_non_utf8_line_with_a_parse_error() {
+        // A lossy decode would run this disrupt under an id the client
+        // never sent, and log the rewritten line.
+        let engine = engine();
+        let server = Arc::new(Server::new(Arc::clone(&engine), 1));
+        let (addr, acceptor) = serve_loopback(&server);
+        let mut client = TcpStream::connect(addr).unwrap();
+        client
+            .write_all(b"{\"v\":1,\"id\":\"b\xff\",\"op\":\"disrupt\",\"edges\":[1]}\n")
+            .unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let r = Response::parse(line.trim_end()).unwrap();
+        assert_eq!(r.error_kind(), Some("parse"), "{line}");
+        assert_eq!(r.id(), None, "{line}");
+        client
+            .write_all(b"{\"v\":1,\"id\":\"z\",\"op\":\"shutdown\"}\n")
+            .unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(Response::parse(line.trim_end()).unwrap().id(), Some("z"));
+        acceptor.join().unwrap();
+        let report = Arc::try_unwrap(server)
+            .ok()
+            .expect("acceptor joined; sole owner")
+            .finish();
+        assert_eq!(report.op("disrupt").map(|l| l.count), None);
+        assert_eq!(report.op("protocol_error").unwrap().count, 1);
+    }
+
     /// The sorted-sample percentile the histogram replaces: the sample at
     /// rank `(len − 1)·pct/100`.
     fn sorted_percentile(sorted: &[u64], pct: u64) -> u64 {
@@ -1889,5 +2064,176 @@ not json at all
             .finish();
         assert_eq!(report.op("disrupt").unwrap().count, PER_CONN / 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The committed smoke stream and its golden replies.
+    const EVENTS: &str = include_str!("../../../examples/serve/events.jsonl");
+    const GOLDEN: &str = include_str!("../../../examples/serve/golden.jsonl");
+
+    /// The instance the goldens were recorded on: `serve --topology
+    /// bell --pairs 4 --flow 10 --seed 42`.
+    fn golden_engine(faults: Option<&str>) -> Arc<Engine> {
+        use netrec_topology::demand::{generate_demands, DemandSpec};
+        let topology = netrec_topology::bell::bell_canada();
+        let mut p = RecoveryProblem::new(topology.graph().clone());
+        for (s, t, amount) in generate_demands(&topology, &DemandSpec::new(4, 10.0), 42) {
+            p.add_demand(s, t, amount).unwrap();
+        }
+        let engine = Engine::new(p, SolverSpec::isp());
+        Arc::new(match faults {
+            Some(spec) => engine.with_faults(FaultPlan::parse(spec).unwrap()),
+            None => engine,
+        })
+    }
+
+    /// Replies the sink has written, and a condvar signalled per write.
+    type ReplyCount = Arc<(Mutex<usize>, Condvar)>;
+
+    /// A client with one request in flight: each read hands the server
+    /// one line, after the previous line's reply reached the sink.
+    struct ClosedLoop {
+        lines: std::vec::IntoIter<String>,
+        current: Vec<u8>,
+        pos: usize,
+        /// Replies the lines handed out so far are owed.
+        owed: usize,
+        replies: ReplyCount,
+    }
+
+    impl Read for ClosedLoop {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.pos == self.current.len() {
+                let (count, cv) = &*self.replies;
+                let mut written = count.lock().unwrap();
+                while *written < self.owed {
+                    let (guard, wait) = cv.wait_timeout(written, Duration::from_secs(60)).unwrap();
+                    assert!(!wait.timed_out(), "no reply to line {}", self.owed);
+                    written = guard;
+                }
+                let Some(line) = self.lines.next() else {
+                    return Ok(0);
+                };
+                if !line.trim().is_empty() {
+                    self.owed += 1;
+                }
+                self.current = format!("{line}\n").into_bytes();
+                self.pos = 0;
+            }
+            let n = buf.len().min(self.current.len() - self.pos);
+            buf[..n].copy_from_slice(&self.current[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// A sink that counts reply lines for [`ClosedLoop`].
+    struct CountingSink {
+        out: SharedBuf,
+        replies: ReplyCount,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.out.write_all(buf)?;
+            let (count, cv) = &*self.replies;
+            *count.lock().unwrap() += buf.iter().filter(|&&b| b == b'\n').count();
+            cv.notify_all();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Replays `input` through `server` one request at a time. Returns
+    /// the replies and the number of jobs the pool ran.
+    fn closed_loop(server: Server, input: &str) -> (String, u64) {
+        let replies = ReplyCount::default();
+        let out = SharedBuf::default();
+        let reader = ClosedLoop {
+            lines: input
+                .lines()
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+                .into_iter(),
+            current: Vec::new(),
+            pos: 0,
+            owed: 0,
+            replies: Arc::clone(&replies),
+        };
+        let sink = CountingSink {
+            out: out.clone(),
+            replies,
+        };
+        server.serve_connection(BufReader::new(reader), Box::new(sink));
+        let pooled = server.shared.sched.lock().pooled;
+        server.finish();
+        (out.take(), pooled)
+    }
+
+    #[test]
+    fn a_waiting_client_is_served_on_its_reader_with_the_golden_replies() {
+        for workers in [1, 4] {
+            let (out, pooled) = closed_loop(Server::new(golden_engine(None), workers), EVENTS);
+            assert!(
+                out == GOLDEN,
+                "workers={workers}: replies differ from golden.jsonl"
+            );
+            assert_eq!(
+                pooled, 0,
+                "workers={workers}: the pool ran a closed-loop request"
+            );
+        }
+        // Pipelined, the same stream goes to the pool.
+        let server = Server::new(golden_engine(None), 2);
+        let out = SharedBuf::default();
+        server.serve_connection(EVENTS.as_bytes(), Box::new(out.clone()));
+        assert!(server.shared.sched.lock().pooled > 200);
+        server.finish();
+        assert!(out.take() == GOLDEN);
+    }
+
+    #[test]
+    fn a_panic_on_the_reader_is_contained_like_one_on_a_worker() {
+        // The chaos-replay schedule: a dispatch panic at index 100, solve
+        // errors, and 1 ms of latency on every request.
+        let spec = "seed=7;latency=1:1;panic@100;solve_error@5,40,90;torn@60";
+        let (pipelined, _) = run_stream(golden_engine(Some(spec)), 1, EVENTS);
+        assert!(pipelined.contains(r#""kind":"internal_error""#));
+        assert!(pipelined.contains(r#""kind":"session_poisoned""#));
+        for workers in [1, 4] {
+            let server = Server::new(golden_engine(Some(spec)), workers);
+            let (out, pooled) = closed_loop(server, EVENTS);
+            assert!(
+                out == pipelined,
+                "workers={workers}: closed-loop faulted replies differ"
+            );
+            assert_eq!(pooled, 0, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn a_reader_survives_a_panic_outside_dispatch() {
+        // The hook panics after request index 1 is delivered: on the
+        // reader, nothing would replace the thread, so it must live on
+        // and serve the rest of the stream.
+        let server = Server::new(engine(), 1);
+        server.panic_after(1);
+        let (out, pooled) = closed_loop(server, STREAM);
+        assert_eq!(pooled, 0);
+        let ids: Vec<Option<String>> = out
+            .lines()
+            .map(|l| Response::parse(l).unwrap().id().map(str::to_string))
+            .collect();
+        let expected = [
+            Some("q0"),
+            Some("d1"),
+            None,
+            Some("q1"),
+            Some("p1"),
+            Some("z"),
+        ];
+        assert_eq!(ids, expected.map(|id| id.map(str::to_string)), "{out}");
     }
 }

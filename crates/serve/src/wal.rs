@@ -2,13 +2,14 @@
 //! (`DESIGN.md` §16).
 //!
 //! Every admitted request line is appended to a segmented, checksummed
-//! log *before* it is enqueued for execution, so a crash can lose at
-//! most replies, never acknowledged events: `serve --wal DIR` boot
-//! replays checkpoint + log suffix through the engine and reaches
-//! exactly the state the durable prefix describes. The append path is
-//! the reader thread — the same thread that assigns read-order request
-//! indices — so the log *is* the dispatch order and replay is
-//! deterministic at any worker count.
+//! log *before* it can execute, so a crash can lose at most replies,
+//! never acknowledged events: `serve --wal DIR` boot replays
+//! checkpoint + log suffix through the engine and reaches exactly the
+//! state the durable prefix describes. The reader that admits a
+//! request appends it and hands it to the scheduler under one lock
+//! (the server's admission step), so the log *is* the execution order,
+//! across connections too, and replay is deterministic at any worker
+//! count.
 //!
 //! # Layout
 //!

@@ -7,8 +7,9 @@ use netrec_core::solver::SolverSpec;
 use netrec_core::RecoveryProblem;
 use netrec_graph::Graph;
 use netrec_json::Json;
-use netrec_serve::{run_stream, Engine, Response};
-use std::sync::Arc;
+use netrec_serve::{run_stream, Engine, Response, Server};
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 fn engine() -> Arc<Engine> {
     let mut g = Graph::with_nodes(4);
@@ -171,4 +172,72 @@ fn oversized_and_deeply_nested_lines_are_rejected_not_fatal() {
     )
     .unwrap();
     assert!(alive.is_ok());
+}
+
+/// Lines that are not UTF-8: a stray byte, a lone continuation byte,
+/// an overlong encoding, a truncated sequence, and a surrogate — inside
+/// and outside JSON strings, including the id.
+const NON_UTF8: &[&[u8]] = &[
+    b"\xff",
+    b"{\"v\":1,\"id\":\"x\xff\",\"op\":\"query_routability\"}",
+    b"{\"v\":1,\"id\":\"x\",\"op\":\"query_routability\"}\x80",
+    b"{\"v\":1,\"id\":\"\xc0\xaf\",\"op\":\"disrupt\",\"edges\":[1]}",
+    b"{\"v\":1,\"id\":\"x\",\"op\":\"query_rout\xe2\x82",
+    b"{\"v\":1,\"id\":\"\xed\xa0\x80\",\"op\":\"query_routability\"}",
+];
+
+/// A sink collecting the replies of one connection.
+#[derive(Clone, Default)]
+struct Sink(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Sink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn non_utf8_lines_get_one_parse_error_each_and_reading_goes_on() {
+    let mut input = b"{\"v\":1,\"id\":\"first\",\"op\":\"query_routability\"}\n".to_vec();
+    for line in NON_UTF8 {
+        input.extend_from_slice(line);
+        input.push(b'\n');
+    }
+    input.extend_from_slice(b"{\"v\":1,\"id\":\"alive\",\"op\":\"query_routability\"}\n");
+    input.extend_from_slice(b"{\"v\":1,\"id\":\"z\",\"op\":\"shutdown\"}\n");
+
+    let engine = engine();
+    let server = Server::new(Arc::clone(&engine), 2);
+    let sink = Sink::default();
+    server.serve_connection(&input[..], Box::new(sink.clone()));
+    let report = server.finish();
+    let out = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+    let replies: Vec<Response> = out.lines().map(|l| Response::parse(l).unwrap()).collect();
+    assert_eq!(
+        replies.len(),
+        NON_UTF8.len() + 3,
+        "one reply per line:\n{out}"
+    );
+    assert_eq!(replies[0].id(), Some("first"));
+    for (line, reply) in NON_UTF8.iter().zip(&replies[1..]) {
+        assert_eq!(reply.error_kind(), Some("parse"), "{line:?} -> {reply}");
+        // No id is echoed: nothing the client sent was rewritten into
+        // one it never sent.
+        assert_eq!(reply.id(), None, "{line:?} -> {reply}");
+    }
+    let alive = &replies[NON_UTF8.len() + 1];
+    assert_eq!(alive.id(), Some("alive"));
+    assert_eq!(alive.json().get("routable"), Some(&Json::Bool(true)));
+    assert_eq!(replies.last().unwrap().id(), Some("z"));
+    assert_eq!(report.op("protocol_error").unwrap().count, NON_UTF8.len());
+    assert_eq!(
+        report.op("disrupt").map(|l| l.count),
+        None,
+        "a line that is not UTF-8 never dispatches"
+    );
 }

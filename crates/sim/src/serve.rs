@@ -28,7 +28,10 @@ usage: netrec-cli serve [options]
                        stream `disrupt` events instead)
   --seed N             RNG seed for topology/demand      (default 42)
   --algo SPEC          default solver for query_plan     (default isp)
-  --workers N          worker threads                    (default 4)
+  --workers N          worker threads; they serve pipelined input
+                       and sessions busy on another connection,
+                       while a client that waits for each reply is
+                       served on its own reader          (default 4)
   --tcp ADDR           also listen on ADDR (e.g. 127.0.0.1:7007);
                        the bound address is printed to stderr
   --max-queue N        global bound on admitted-not-done requests;
