@@ -38,9 +38,10 @@
 //! [`crate::fsio`] container frame, so torn, truncated,
 //! version-mismatched, or foreign files are rejected at load with
 //! typed errors ([`ArtifactError`]) instead of producing wrong
-//! answers. All integer bit patterns (keys, capacity bits) are stored
-//! as fixed-width hex strings — the JSON number type is an `f64` and
-//! cannot carry them losslessly.
+//! answers. Integer bit patterns (keys, bitsets, capacity bits) cannot
+//! travel as JSON numbers, which are `f64`s; payload version 2 stores
+//! each word list as one lowercase hex string of 16-digit words, so a
+//! list costs one JSON string instead of one per word (DESIGN.md §15).
 
 use super::canon::{
     canonicalize, extends, insert_maximal_capped, insert_minimal_capped, EffState, RawState,
@@ -63,7 +64,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub const ARTIFACT_KIND: &str = "routability-artifact";
 
 /// Artifact format version; bumped on any change to the JSON schema.
-pub const ARTIFACT_VERSION: u32 = 1;
+/// Version 2 packs each word list into one hex string; a version-1 file
+/// is refused at load and must be regenerated with `netrec-cli
+/// precompute`.
+pub const ARTIFACT_VERSION: u32 = 2;
 
 /// Witness-list bound per kind. Far above the live oracle's 16: the
 /// artifact is built once offline and shared read-only, so the only
@@ -91,6 +95,11 @@ pub enum ArtifactError {
 impl std::fmt::Display for ArtifactError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ArtifactError::Container(e @ ContainerError::VersionMismatch { .. }) => write!(
+                f,
+                "{e}; the artifact was written by another build, re-run \
+                 `netrec-cli precompute` to regenerate it"
+            ),
             ArtifactError::Container(e) => write!(f, "{e}"),
             ArtifactError::Parse(why) => write!(f, "malformed artifact payload: {why}"),
             ArtifactError::InstanceMismatch => {
@@ -122,6 +131,45 @@ impl From<ArtifactError> for RecoveryError {
     fn from(e: ArtifactError) -> Self {
         RecoveryError::Artifact(e.to_string())
     }
+}
+
+/// Encodes a word list as one lowercase hex string, 16 digits a word,
+/// most significant digit first (the payload-version-2 form of every
+/// word list).
+fn encode_words(words: &[u64]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(16 * words.len());
+    for &word in words {
+        for shift in (0..16).rev() {
+            out.push(DIGITS[(word >> (4 * shift)) as usize & 0xf] as char);
+        }
+    }
+    out
+}
+
+/// Decodes [`encode_words`]' form with a nibble loop. Anything it would
+/// not have written (a length that is not a multiple of 16, an
+/// uppercase or non-hex digit) is an error, so every list has exactly
+/// one spelling and saved files stay byte-deterministic.
+fn decode_words(text: &str) -> Result<Vec<u64>, &'static str> {
+    let bytes = text.as_bytes();
+    if !bytes.len().is_multiple_of(16) {
+        return Err("length is not a multiple of 16 digits");
+    }
+    let mut words = Vec::with_capacity(bytes.len() / 16);
+    for digits in bytes.chunks_exact(16) {
+        let mut word = 0u64;
+        for &digit in digits {
+            let nibble = match digit {
+                b'0'..=b'9' => digit - b'0',
+                b'a'..=b'f' => digit - b'a' + 10,
+                _ => return Err("not a lowercase hex digit"),
+            };
+            word = word << 4 | u64::from(nibble);
+        }
+        words.push(word);
+    }
+    Ok(words)
 }
 
 /// A capacity-weighted unroutability certificate: the node set `S` (as
@@ -253,13 +301,7 @@ impl RoutabilityArtifact {
 
     /// Serializes to the on-disk netrec-json payload.
     fn to_json(&self) -> Json {
-        let hex_list = |vals: &[u64]| {
-            Json::Array(
-                vals.iter()
-                    .map(|v| Json::String(format!("{v:016x}")))
-                    .collect(),
-            )
-        };
+        let hex_list = |vals: &[u64]| Json::String(encode_words(vals));
         let state_json = |s: &EffState| {
             // Capacities only for enabled edges, in id order (the same
             // compression as `EffState::key`), stored as f64 bit
@@ -332,10 +374,7 @@ impl RoutabilityArtifact {
                         .map(|c| {
                             object(vec![
                                 ("nodes", hex_list(&c.words)),
-                                (
-                                    "demand",
-                                    Json::String(format!("{:016x}", c.crossing_demand.to_bits())),
-                                ),
+                                ("demand", hex_list(&[c.crossing_demand.to_bits()])),
                             ])
                         })
                         .collect(),
@@ -347,17 +386,11 @@ impl RoutabilityArtifact {
     /// Deserializes the on-disk payload.
     fn from_json(json: &Json) -> Result<Self, ArtifactError> {
         let parse = |why: &str| ArtifactError::Parse(why.to_string());
-        let hex = |j: &Json, what: &str| -> Result<u64, ArtifactError> {
-            j.as_str()
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                .ok_or_else(|| parse(&format!("bad hex word in {what}")))
-        };
         let hex_list = |j: Option<&Json>, what: &str| -> Result<Vec<u64>, ArtifactError> {
-            j.and_then(Json::as_array)
-                .ok_or_else(|| parse(&format!("missing {what}")))?
-                .iter()
-                .map(|w| hex(w, what))
-                .collect()
+            let text = j
+                .and_then(Json::as_str)
+                .ok_or_else(|| parse(&format!("missing {what}")))?;
+            decode_words(text).map_err(|why| parse(&format!("bad hex words in {what}: {why}")))
         };
         let node_count = json
             .get("nodes")
@@ -405,6 +438,16 @@ impl RoutabilityArtifact {
             .ok_or_else(|| parse("missing verdicts"))?
         {
             let key = hex_list(entry.get("key"), "verdict key")?;
+            // A key is a state bitset, then the capacity bits of each
+            // edge it enables.
+            let enabled: usize = key
+                .iter()
+                .take(words_per_state)
+                .map(|w| w.count_ones() as usize)
+                .sum();
+            if key.len() != words_per_state + enabled {
+                return Err(parse("verdict key width does not match its bitset"));
+            }
             let routable = match entry.get("routable") {
                 Some(Json::Bool(b)) => *b,
                 _ => return Err(parse("verdict without a boolean routable field")),
@@ -421,11 +464,9 @@ impl RoutabilityArtifact {
             if words.len() != node_count.div_ceil(64) {
                 return Err(parse("cut bitset width does not match node count"));
             }
-            let demand_bits = entry
-                .get("demand")
-                .map(|j| hex(j, "cut demand"))
-                .transpose()?
-                .ok_or_else(|| parse("cut without demand"))?;
+            let [demand_bits] = hex_list(entry.get("demand"), "cut demand")?[..] else {
+                return Err(parse("cut demand is not one word"));
+            };
             let crossing_demand = f64::from_bits(demand_bits);
             if !crossing_demand.is_finite() || crossing_demand <= 0.0 {
                 return Err(parse("cut with non-positive crossing demand"));
@@ -1070,6 +1111,111 @@ mod tests {
             Err(ArtifactError::Parse(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_version_1_file_is_refused_and_names_precompute() {
+        let g = square();
+        let demands = [Demand::new(g.node(0), g.node(3), 8.0)];
+        let dir = scratch("v1");
+        let path = dir.join("square.nra");
+        sweep_square(&g, &demands).save(&path, false).unwrap();
+        let payload = fsio::read_container(&path, ARTIFACT_KIND, ARTIFACT_VERSION).unwrap();
+        let old = dir.join("v1.nra");
+        fsio::write_container(&old, ARTIFACT_KIND, 1, &payload, false).unwrap();
+        let err = RoutabilityArtifact::load(&old).unwrap_err();
+        assert_eq!(
+            err,
+            ArtifactError::Container(ContainerError::VersionMismatch {
+                found: 1,
+                supported: 2
+            })
+        );
+        assert!(err.to_string().contains("netrec-cli precompute"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn word_strings_decode_only_in_their_one_spelling() {
+        assert_eq!(
+            decode_words("00000000000000ff0123456789abcdef"),
+            Ok(vec![0xff, 0x0123_4567_89ab_cdef])
+        );
+        assert_eq!(decode_words(""), Ok(vec![]));
+        let words = [0, 1, u64::MAX, 0x8000_0000_0000_0000, 0xdead_beef];
+        assert_eq!(decode_words(&encode_words(&words)), Ok(words.to_vec()));
+        for bad in [
+            "0",
+            "000000000000000",
+            "00000000",
+            "00000000000000000",
+            "00000000000000FF",
+            "000000000000000g",
+            "-000000000000001",
+            "+000000000000001",
+            "0x00000000000001",
+            "00000000000000\u{e9}",
+        ] {
+            assert!(decode_words(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_word_strings_are_parse_errors() {
+        let g = square();
+        let demands = [Demand::new(g.node(0), g.node(3), 8.0)];
+        let exact = ExactLp::new();
+        let mut builder = ArtifactBuilder::new(&g, &demands);
+        for mask in [vec![true; 4], vec![false, true, false, true]] {
+            let view = g.view().with_edge_mask(&mask);
+            let routable = exact.is_routable(&view, &demands).unwrap();
+            builder.record(&view, &demands, routable);
+        }
+        let artifact = builder.finish("square", &["single-cut".to_string()]);
+        assert_eq!(artifact.cut_count(), 1);
+        let text = artifact.to_json().to_line();
+        assert!(RoutabilityArtifact::from_json(&Json::parse(&text).unwrap()).is_ok());
+        // Rewrites the first `"field":"…"` word string with `edit`.
+        let load_edited = |field: &str, edit: &dyn Fn(&str) -> String| {
+            let open = format!("\"{field}\":\"");
+            let start = text.find(&open).expect(field) + open.len();
+            let end = start + text[start..].find('"').unwrap();
+            let edited = format!(
+                "{}{}{}",
+                &text[..start],
+                edit(&text[start..end]),
+                &text[end..]
+            );
+            RoutabilityArtifact::from_json(&Json::parse(&edited).unwrap())
+        };
+        type Edit = fn(&str) -> String;
+        let spellings: [(&str, Edit); 4] = [
+            ("odd length", |w| w[1..].to_string()),
+            ("uppercase", |w| format!("{}A", &w[1..])),
+            ("non-hex", |w| format!("{}g", &w[1..])),
+            ("half a word", |w| w[8..].to_string()),
+        ];
+        for field in ["generation", "key", "words", "caps", "nodes", "demand"] {
+            for (what, edit) in spellings {
+                assert!(
+                    matches!(load_edited(field, &edit), Err(ArtifactError::Parse(_))),
+                    "{field}: {what}"
+                );
+            }
+        }
+        // A whole extra word breaks every width the schema pins: the
+        // state and cut bitsets, caps against their bitset, a verdict
+        // key against its bitset, and the single-word cut demand.
+        let extra_word = |w: &str| format!("{w}0000000000000000");
+        for field in ["key", "words", "caps", "nodes", "demand"] {
+            assert!(
+                matches!(
+                    load_edited(field, &extra_word),
+                    Err(ArtifactError::Parse(_))
+                ),
+                "{field}: extra word"
+            );
+        }
     }
 
     #[test]

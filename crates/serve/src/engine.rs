@@ -1331,6 +1331,7 @@ mod tests {
         let report = e2.restore_from_file(&path).unwrap();
         assert_eq!(report.session, "ops");
         assert!(report.warning.is_none(), "{:?}", report.warning);
+        assert_fingerprints_are_full_hashes(&e2);
         let snap2 = ok(&e2, r#"{"v":1,"id":"s2","session":"ops","op":"snapshot"}"#);
         assert_eq!(
             snap2.json().get("generation").cloned(),
@@ -1545,11 +1546,27 @@ mod tests {
         assert_eq!(doc.get("wal_seq").and_then(Json::as_u64), Some(7));
         let e2 = engine();
         assert_eq!(e2.restore_checkpoint(&doc).unwrap(), 2);
+        assert_fingerprints_are_full_hashes(&e2);
         for probe in [
             r#"{"v":1,"id":"s1","op":"snapshot"}"#,
             r#"{"v":1,"id":"s2","session":"ops","op":"snapshot"}"#,
         ] {
             assert_eq!(e.process_line(probe), e2.process_line(probe));
+        }
+    }
+
+    /// Every session's cached fingerprint equals the full from-scratch
+    /// hash (session.rs keeps it as a test reference).
+    fn assert_fingerprints_are_full_hashes(e: &Engine) {
+        let table = e.sessions.lock().unwrap();
+        assert!(!table.is_empty());
+        for (name, session) in table.iter() {
+            let session = session.lock().unwrap();
+            assert_eq!(
+                session.fingerprint(),
+                session.fingerprint_reference(),
+                "session {name}"
+            );
         }
     }
 

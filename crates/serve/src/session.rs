@@ -72,9 +72,14 @@ pub struct Session {
     /// replay.
     routability_cache: std::cell::Cell<Option<(usize, bool, AnswerSource)>>,
     /// Memoized [`Session::fingerprint`] under the same invalidation
-    /// rule — every response carries the generation, and recomputing an
-    /// O(|V|+|E|) hash per reply would dominate cheap queries.
+    /// rule — every response carries the generation, and rescanning the
+    /// O(|V|+|E|) masks per reply would dominate cheap queries.
     fingerprint_cache: std::cell::Cell<Option<(usize, u64)>>,
+    /// The fingerprint's hash state after the graph prefix: node and
+    /// edge counts, then every edge's endpoints and capacity. No
+    /// [`StatePatch`] changes the graph, so the prefix is hashed once
+    /// and each mutation's fingerprint continues from it.
+    graph_prefix: Fnv,
     /// Last known-good plan (degraded `query_plan` fallback). Never
     /// consulted on the normal path, so it cannot perturb replay
     /// determinism of fault-free streams.
@@ -90,6 +95,7 @@ impl Session {
         Session {
             problem: (*base).clone(),
             oracle: session_oracle(None, None),
+            graph_prefix: Fnv::graph_prefix(base.graph()),
             base,
             artifact: None,
             events_applied: 0,
@@ -176,6 +182,7 @@ impl Session {
             // The fork shares the parent's state, so its verdict too.
             routability_cache: self.routability_cache.clone(),
             fingerprint_cache: self.fingerprint_cache.clone(),
+            graph_prefix: self.graph_prefix,
             last_plan: self.last_plan.clone(),
         }
     }
@@ -224,9 +231,21 @@ impl Session {
         fp
     }
 
-    /// The full O(|V|+|E|) hash behind [`Session::fingerprint`] (also
-    /// exercised directly by tests to prove the cache never desyncs).
+    /// The hash behind [`Session::fingerprint`]: the cached graph prefix
+    /// continued over the broken masks, their repair costs and the
+    /// demands (also exercised directly by tests to prove the cache
+    /// never desyncs).
     fn fingerprint_uncached(&self) -> u64 {
+        let mut h = self.graph_prefix;
+        self.hash_mutable_state(&mut h);
+        h.finish()
+    }
+
+    /// The reference [`Session::fingerprint`] must equal: the whole
+    /// state hashed from scratch in one pass, graph prefix included, as
+    /// every fingerprint was computed before the prefix was cached.
+    #[cfg(test)]
+    pub(crate) fn fingerprint_reference(&self) -> u64 {
         let mut h = Fnv::new();
         let g = self.problem.graph();
         h.usize(g.node_count());
@@ -238,6 +257,32 @@ impl Session {
             h.usize(v.index());
             h.f64(g.capacity(id));
         }
+        for (i, &broken) in self.problem.broken_node_mask().iter().enumerate() {
+            if broken {
+                h.usize(i);
+                h.f64(self.problem.node_cost(g.node(i)));
+            }
+        }
+        h.u8(0xff);
+        for (i, &broken) in self.problem.broken_edge_mask().iter().enumerate() {
+            if broken {
+                h.usize(i);
+                h.f64(self.problem.edge_cost(netrec_graph::EdgeId::new(i)));
+            }
+        }
+        h.u8(0xfe);
+        for (s, t, amount) in self.problem.demand_pairs() {
+            h.usize(s.index());
+            h.usize(t.index());
+            h.f64(amount);
+        }
+        h.finish()
+    }
+
+    /// Feeds what patches can change: broken nodes and edges with their
+    /// repair costs, then the demand list.
+    fn hash_mutable_state(&self, h: &mut Fnv) {
+        let g = self.problem.graph();
         for (i, &broken) in self.problem.broken_node_mask().iter().enumerate() {
             if broken {
                 h.usize(i);
@@ -257,7 +302,6 @@ impl Session {
             h.usize(t.index());
             h.f64(amount);
         }
-        h.finish()
     }
 
     /// Answers "is the current state routable?" — precomputed artifact
@@ -421,11 +465,28 @@ fn session_oracle(
 /// FNV-1a, 64-bit. Tiny, dependency-free, stable across platforms —
 /// exactly what a wire-visible fingerprint needs (`DefaultHasher` is
 /// explicitly unstable across releases).
+#[derive(Clone, Copy)]
 struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// The hash state after `g`'s prefix: node and edge counts, then
+    /// each edge's endpoints and capacity in id order.
+    fn graph_prefix(g: &netrec_graph::Graph) -> Self {
+        let mut h = Fnv::new();
+        h.usize(g.node_count());
+        h.usize(g.edge_count());
+        for e in 0..g.edge_count() {
+            let id = netrec_graph::EdgeId::new(e);
+            let (u, v) = g.endpoints(id);
+            h.usize(u.index());
+            h.usize(v.index());
+            h.f64(g.capacity(id));
+        }
+        h
     }
 
     fn u8(&mut self, b: u8) {
@@ -488,6 +549,93 @@ mod tests {
             before,
             "repair restores the observable state (costs of intact components are unobservable)"
         );
+    }
+
+    /// splitmix64: the seeded draw behind the random patch streams.
+    fn draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// One random disrupt, repair or demand event on the 4-node base.
+    fn random_event(rng: &mut u64) -> Vec<StatePatch> {
+        let pick = draw(rng);
+        let id = (pick >> 8) as usize % 4;
+        let cost = 0.5 + (pick >> 16) as f64 % 7.0 * 0.25;
+        match pick % 5 {
+            0 => vec![StatePatch::BreakEdge {
+                edge: EdgeId::new(id),
+                cost,
+            }],
+            1 => vec![StatePatch::BreakNode {
+                node: NodeId::new(id),
+                cost,
+            }],
+            2 => vec![StatePatch::RepairEdge {
+                edge: EdgeId::new(id),
+            }],
+            3 => vec![StatePatch::RepairNode {
+                node: NodeId::new(id),
+            }],
+            _ => vec![
+                StatePatch::ClearDemands,
+                StatePatch::AddDemand {
+                    source: NodeId::new(id),
+                    target: NodeId::new((id + 1 + (pick >> 24) as usize % 3) % 4),
+                    amount: cost * 4.0,
+                },
+            ],
+        }
+    }
+
+    /// A session rebuilt from `s`'s persisted parts, the way a WAL
+    /// checkpoint restore and a snapshot `restore` both rebuild one.
+    fn restored(s: &Session) -> Session {
+        let p = s.problem();
+        let nodes: Vec<(usize, f64)> = (0..p.graph().node_count())
+            .filter(|&n| p.broken_node_mask()[n])
+            .map(|n| (n, p.node_cost(NodeId::new(n))))
+            .collect();
+        let edges: Vec<(usize, f64)> = (0..p.graph().edge_count())
+            .filter(|&e| p.broken_edge_mask()[e])
+            .map(|e| (e, p.edge_cost(EdgeId::new(e))))
+            .collect();
+        let demands: Vec<(usize, usize, f64)> = p
+            .demand_pairs()
+            .iter()
+            .map(|&(a, b, d)| (a.index(), b.index(), d))
+            .collect();
+        Session::restore(base(), &nodes, &edges, &demands, s.events_applied()).unwrap()
+    }
+
+    #[test]
+    fn cached_fingerprint_is_the_full_hash() {
+        for seed in 1..=16u64 {
+            let mut rng = seed;
+            let mut s = Session::new(base());
+            assert_eq!(s.fingerprint(), s.fingerprint_reference(), "seed {seed}");
+            for step in 0..48 {
+                s.apply_stream(&random_event(&mut rng)).unwrap();
+                let fp = s.fingerprint();
+                assert_eq!(fp, s.fingerprint_reference(), "seed {seed} step {step}");
+                if step % 8 == 7 {
+                    let mut fork = s.fork();
+                    assert_eq!(fork.fingerprint(), fp, "seed {seed} step {step}");
+                    fork.apply_stream(&random_event(&mut rng)).unwrap();
+                    assert_eq!(
+                        fork.fingerprint(),
+                        fork.fingerprint_reference(),
+                        "fork at seed {seed} step {step}"
+                    );
+                    let back = restored(&s);
+                    assert_eq!(back.fingerprint(), fp, "restore at seed {seed} step {step}");
+                    assert_eq!(back.fingerprint_reference(), fp);
+                }
+            }
+        }
     }
 
     #[test]

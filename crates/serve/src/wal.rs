@@ -169,6 +169,11 @@ pub struct Wal {
     policy: SyncPolicy,
     segment_records: u64,
     state: Mutex<WalState>,
+    /// Runs inside [`Wal::sync`] between the flush and the fsync, where
+    /// the log lock is released; tests park it there to stand for a
+    /// slow disk.
+    #[cfg(test)]
+    sync_hook: Mutex<Option<Box<dyn Fn() + Send>>>,
 }
 
 impl Wal {
@@ -303,6 +308,8 @@ impl Wal {
                 since_checkpoint: records.len() as u64,
                 dirty_since: None,
             }),
+            #[cfg(test)]
+            sync_hook: Mutex::new(None),
         };
         Ok((
             wal,
@@ -395,20 +402,50 @@ impl Wal {
         std::process::abort();
     }
 
-    /// Fsyncs outstanding appends, if any (the interval flusher's tick;
-    /// also used on shutdown).
+    /// Fsyncs outstanding appends, if any (the interval flusher's
+    /// tick). Only the flush runs under the log lock: it hands the
+    /// buffered records to the OS and notes the last seq it covered. The
+    /// fsync then runs on a cloned handle outside the lock, so appends,
+    /// and the admissions waiting behind them, never wait for the disk.
+    /// Afterwards the durable seq rises to the flushed seq and no
+    /// further: records appended during the fsync stay dirty until the
+    /// next tick. (`always` appends and segment rotation still fsync
+    /// under the lock: they need the records durable before going on.)
     ///
     /// # Errors
     ///
-    /// Filesystem errors from the fsync.
+    /// Filesystem errors from the flush or the fsync.
     pub fn sync(&self) -> std::io::Result<()> {
-        let mut st = self.lock();
-        if st.dirty_since.is_some() {
+        let (file, flushed_seq, flushed_at) = {
+            let mut st = self.lock();
+            if st.synced_seq >= st.appended_seq {
+                return Ok(());
+            }
             st.file.flush()?;
-            st.file.get_ref().sync_data()?;
-            st.synced_seq = st.appended_seq;
-            st.dirty_since = None;
+            (
+                st.file.get_ref().try_clone()?,
+                st.appended_seq,
+                Instant::now(),
+            )
+        };
+        #[cfg(test)]
+        if let Some(hook) = self
+            .sync_hook
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+        {
+            hook();
         }
+        file.sync_data()?;
+        let mut st = self.lock();
+        st.synced_seq = st.synced_seq.max(flushed_seq);
+        st.dirty_since = if st.synced_seq >= st.appended_seq {
+            None
+        } else {
+            // What is still dirty was appended after the flush.
+            st.dirty_since.map(|since| since.max(flushed_at))
+        };
         Ok(())
     }
 
@@ -680,6 +717,51 @@ mod tests {
         assert_eq!(cp.get("wal_seq").and_then(Json::as_u64), Some(5));
         assert_eq!(boot.records.len(), 1);
         assert_eq!(boot.records[0].seq, 6);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interval_sync_leaves_appends_unblocked() {
+        use std::sync::mpsc;
+        let dir = scratch("slow_sync");
+        let (wal, _) = Wal::open(&dir, SyncPolicy::Interval(1000), 1024).unwrap();
+        let wal = Arc::new(wal);
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        *wal.sync_hook.lock().unwrap() = Some(Box::new(move || {
+            parked_tx.send(()).unwrap();
+            let _ = release_rx.lock().unwrap().recv();
+        }));
+        assert_eq!(wal.append_line("{\"a\":1}").unwrap(), 1);
+        let syncer = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.sync())
+        };
+        // The sync has flushed seq 1 and is parked before its fsync.
+        parked_rx.recv().unwrap();
+        let (appended_tx, appended_rx) = mpsc::channel();
+        let appender = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || appended_tx.send(wal.append_line("{\"b\":2}")))
+        };
+        let Ok(appended) = appended_rx.recv_timeout(Duration::from_secs(10)) else {
+            release_tx.send(()).unwrap();
+            panic!("an append waited for an in-flight fsync");
+        };
+        assert_eq!(appended.unwrap(), 2);
+        let during = wal.health();
+        release_tx.send(()).unwrap();
+        syncer.join().unwrap().unwrap();
+        appender.join().unwrap().unwrap();
+        assert_eq!((during.appended_seq, during.durable_seq), (2, 0));
+        // The sync covers what it flushed, not the append that raced it.
+        let after = wal.health();
+        assert_eq!((after.appended_seq, after.durable_seq), (2, 1));
+        *wal.sync_hook.lock().unwrap() = None;
+        wal.sync().unwrap();
+        let caught_up = wal.health();
+        assert_eq!((caught_up.durable_seq, caught_up.fsync_lag_ms), (2, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

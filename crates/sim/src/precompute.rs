@@ -18,6 +18,7 @@ use crate::cli::{build_problem, CliOptions, UsageError};
 use netrec_core::oracle::artifact::ArtifactBuilder;
 use netrec_core::{OracleBuilder, OracleSpec};
 use netrec_disrupt::DisruptionModel;
+use netrec_topology::Topology;
 use std::path::Path;
 
 /// The `precompute --help` quickstart.
@@ -231,21 +232,15 @@ struct SweepState {
     edges_up: Vec<bool>,
 }
 
-/// Runs the sweep and writes the artifact, returning the human report.
-///
-/// # Errors
-///
-/// Usage errors from problem construction, LP failures during scoring,
-/// or filesystem errors writing the artifact.
-pub fn run(opts: &PrecomputeOptions) -> Result<String, UsageError> {
-    let (topology, _disruption, problem, _demands) = build_problem(&opts.problem)?;
-    let graph = problem.graph();
-    let demands = problem.demands();
-    let n = graph.node_count();
-    let m = graph.edge_count();
-
-    // Enumerate the sweep states in a fixed, documented order: the
-    // artifact bytes depend only on this list and the scoring answers.
+/// Enumerates the sweep states in a fixed, documented order (the
+/// artifact bytes depend only on this list and the scoring answers),
+/// with how many states each class contributed.
+fn sweep_states(
+    opts: &PrecomputeOptions,
+    topology: &Topology,
+) -> (Vec<SweepState>, Vec<(SweepClass, usize)>) {
+    let n = topology.graph().node_count();
+    let m = topology.graph().edge_count();
     let mut states: Vec<SweepState> = Vec::new();
     let mut per_class: Vec<(SweepClass, usize)> = Vec::new();
     for class in &opts.classes {
@@ -294,7 +289,7 @@ pub fn run(opts: &PrecomputeOptions) -> Result<String, UsageError> {
             }
             SweepClass::Geo => {
                 for i in 0..opts.samples {
-                    let d = opts.geo.apply(&topology, opts.problem.seed ^ (i as u64));
+                    let d = opts.geo.apply(topology, opts.problem.seed ^ (i as u64));
                     states.push(SweepState {
                         nodes_up: d.broken_nodes.iter().map(|&b| !b).collect(),
                         edges_up: d.broken_edges.iter().map(|&b| !b).collect(),
@@ -304,6 +299,23 @@ pub fn run(opts: &PrecomputeOptions) -> Result<String, UsageError> {
         }
         per_class.push((*class, states.len() - before));
     }
+    (states, per_class)
+}
+
+/// Runs the sweep and writes the artifact, returning the human report.
+///
+/// # Errors
+///
+/// Usage errors from problem construction, LP failures during scoring,
+/// or filesystem errors writing the artifact.
+pub fn run(opts: &PrecomputeOptions) -> Result<String, UsageError> {
+    let (topology, _disruption, problem, _demands) = build_problem(&opts.problem)?;
+    let graph = problem.graph();
+    let demands = problem.demands();
+    let n = graph.node_count();
+    let m = graph.edge_count();
+
+    let (states, per_class) = sweep_states(opts, &topology);
 
     // Score the states in shards: contiguous chunks, one exact oracle
     // and one builder per shard, merged in shard order.
@@ -490,6 +502,45 @@ mod tests {
         assert!(artifact.matches(problem.graph(), &problem.demands()));
         let _ = std::fs::remove_file(&a);
         let _ = std::fs::remove_file(&b);
+    }
+
+    #[test]
+    fn full_bell_sweep_survives_save_and_load() {
+        // The instance the serve goldens, CI and perfbench precompute.
+        let path = tmp("bell-full");
+        let opts = parse_args(&args(&[
+            "--topology",
+            "bell",
+            "--pairs",
+            "4",
+            "--flow",
+            "10",
+            "--seed",
+            "42",
+            "--out",
+            path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let report = run(&opts).unwrap();
+        assert!(report.contains("swept 241 states"), "{report}");
+        let loaded = RoutabilityArtifact::load(&path).unwrap();
+        let (topology, _, problem, _) = build_problem(&opts.problem).unwrap();
+        let demands = problem.demands();
+        let exact = OracleBuilder::new(OracleSpec::Exact).build().unwrap();
+        let (states, _) = sweep_states(&opts, &topology);
+        assert_eq!(states.len(), 241);
+        // Every swept state's verdict was stored, so after the disk
+        // round trip each one answers from the artifact, exactly.
+        for (i, state) in states.iter().enumerate() {
+            let view = problem
+                .graph()
+                .view()
+                .with_node_mask(&state.nodes_up)
+                .with_edge_mask(&state.edges_up);
+            let verdict = exact.is_routable(&view, &demands).unwrap();
+            assert_eq!(loaded.lookup(&view, &demands), Some(verdict), "state {i}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
