@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netrec_bench::bell_instance;
-use netrec_core::{solve_isp, IspConfig, MetricMode};
+use netrec_core::{IspConfig, MetricMode, SolveContext, SolverSpec};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -13,18 +13,24 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("path_metric");
     g.sample_size(10);
     g.bench_function("dynamic", |b| {
-        let config = IspConfig {
+        let spec = SolverSpec::Isp(IspConfig {
             metric: MetricMode::Dynamic,
             ..Default::default()
-        };
-        b.iter(|| solve_isp(black_box(&problem), &config).unwrap())
+        });
+        b.iter(|| {
+            spec.solve(black_box(&problem), &mut SolveContext::new())
+                .unwrap()
+        })
     });
     g.bench_function("hops", |b| {
-        let config = IspConfig {
+        let spec = SolverSpec::Isp(IspConfig {
             metric: MetricMode::Hops,
             ..Default::default()
-        };
-        b.iter(|| solve_isp(black_box(&problem), &config).unwrap())
+        });
+        b.iter(|| {
+            spec.solve(black_box(&problem), &mut SolveContext::new())
+                .unwrap()
+        })
     });
     g.finish();
 }

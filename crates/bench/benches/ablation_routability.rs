@@ -16,7 +16,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netrec_bench::{bell_instance, problem_for};
 use netrec_core::oracle::{Cached, ConcurrentFlowApprox, ExactLp};
 use netrec_core::schedule::schedule_recovery_with_oracle;
-use netrec_core::{solve_isp, IspConfig, OracleSpec, RecoveryProblem, RoutabilityOracle};
+use netrec_core::{
+    IspConfig, OracleSpec, RecoveryProblem, RoutabilityOracle, SolveContext, SolverSpec,
+};
 use netrec_disrupt::DisruptionModel;
 use netrec_lp::concurrent::routable_approx;
 use netrec_lp::mcf::routability;
@@ -48,19 +50,25 @@ fn bench(c: &mut Criterion) {
         b.iter(|| routable_approx(black_box(&view), black_box(&demands), 0.05))
     });
     g.bench_function("isp_exact", |b| {
-        let config = IspConfig {
+        let spec = SolverSpec::Isp(IspConfig {
             oracle: OracleSpec::Exact,
             ..Default::default()
-        };
-        b.iter(|| solve_isp(black_box(&problem), &config).unwrap())
+        });
+        b.iter(|| {
+            spec.solve(black_box(&problem), &mut SolveContext::new())
+                .unwrap()
+        })
     });
     g.bench_function("isp_approx", |b| {
         // Threshold 0: every query goes to Garg–Könemann.
-        let config = IspConfig {
+        let spec = SolverSpec::Isp(IspConfig {
             oracle: OracleSpec::Auto { threshold: 0 },
             ..Default::default()
-        };
-        b.iter(|| solve_isp(black_box(&problem), &config).unwrap())
+        });
+        b.iter(|| {
+            spec.solve(black_box(&problem), &mut SolveContext::new())
+                .unwrap()
+        })
     });
     g.finish();
 
@@ -101,7 +109,9 @@ fn bench(c: &mut Criterion) {
     // The scheduler's end-to-end win from the cached oracle.
     let mut g = c.benchmark_group("oracle_schedule");
     g.sample_size(10);
-    let plan = solve_isp(&problem, &IspConfig::default()).unwrap();
+    let plan = SolverSpec::isp()
+        .solve(&problem, &mut SolveContext::new())
+        .unwrap();
     g.bench_function("exact", |b| {
         b.iter(|| {
             let oracle = ExactLp::new();

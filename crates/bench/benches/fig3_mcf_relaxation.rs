@@ -23,11 +23,9 @@ fn bench(c: &mut Criterion) {
             SolverSpec::Opt(_) => "opt_budget40".to_string(),
             other => other.name().to_ascii_lowercase(),
         };
-        let solver = spec.build();
         g.bench_function(label, |b| {
             b.iter(|| {
-                solver
-                    .solve(black_box(&problem), &mut SolveContext::new())
+                spec.solve(black_box(&problem), &mut SolveContext::new())
                     .unwrap()
             })
         });

@@ -4,26 +4,26 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netrec_bench::bell_instance;
-use netrec_core::heuristics::greedy::{solve_grd_com, solve_grd_nc, GreedyConfig};
-use netrec_core::heuristics::srt::solve_srt;
-use netrec_core::{solve_isp, IspConfig};
+use netrec_core::solver::{SolveContext, SolverSpec};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let problem = bell_instance(4, 10.0);
-    let greedy = GreedyConfig::default();
     let mut g = c.benchmark_group("fig4");
     g.sample_size(10);
-    g.bench_function("isp", |b| {
-        b.iter(|| solve_isp(black_box(&problem), &IspConfig::default()).unwrap())
-    });
-    g.bench_function("srt", |b| b.iter(|| solve_srt(black_box(&problem))));
-    g.bench_function("grd_com", |b| {
-        b.iter(|| solve_grd_com(black_box(&problem), &greedy))
-    });
-    g.bench_function("grd_nc", |b| {
-        b.iter(|| solve_grd_nc(black_box(&problem), &greedy).unwrap())
-    });
+    for (label, spec) in [
+        ("isp", SolverSpec::isp()),
+        ("srt", SolverSpec::srt()),
+        ("grd_com", SolverSpec::grd_com()),
+        ("grd_nc", SolverSpec::grd_nc()),
+    ] {
+        g.bench_function(label, |b| {
+            b.iter(|| {
+                spec.solve(black_box(&problem), &mut SolveContext::new())
+                    .unwrap()
+            })
+        });
+    }
     g.finish();
 }
 

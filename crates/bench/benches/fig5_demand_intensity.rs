@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netrec_bench::bell_instance;
-use netrec_core::{solve_isp, IspConfig};
+use netrec_core::{SolveContext, SolverSpec};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -13,7 +13,11 @@ fn bench(c: &mut Criterion) {
     for flow in [2.0, 10.0, 18.0] {
         let problem = bell_instance(4, flow);
         g.bench_with_input(BenchmarkId::from_parameter(flow), &problem, |b, p| {
-            b.iter(|| solve_isp(black_box(p), &IspConfig::default()).unwrap())
+            b.iter(|| {
+                SolverSpec::isp()
+                    .solve(black_box(p), &mut SolveContext::new())
+                    .unwrap()
+            })
         });
     }
     g.finish();

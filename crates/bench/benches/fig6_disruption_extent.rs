@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netrec_bench::problem_for;
-use netrec_core::{solve_isp, IspConfig};
+use netrec_core::{SolveContext, SolverSpec};
 use netrec_disrupt::DisruptionModel;
 use netrec_topology::bell::bell_canada;
 use netrec_topology::demand::DemandSpec;
@@ -22,7 +22,11 @@ fn bench(c: &mut Criterion) {
             7,
         );
         g.bench_with_input(BenchmarkId::from_parameter(variance), &problem, |b, p| {
-            b.iter(|| solve_isp(black_box(p), &IspConfig::default()).unwrap())
+            b.iter(|| {
+                SolverSpec::isp()
+                    .solve(black_box(p), &mut SolveContext::new())
+                    .unwrap()
+            })
         });
     }
     g.finish();

@@ -16,10 +16,8 @@ use std::hint::black_box;
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig7");
     g.sample_size(10);
-    let isp = SolverSpec::isp().build();
-    let opt = SolverSpec::parse("opt:budget=30")
-        .expect("valid spec")
-        .build();
+    let isp = SolverSpec::isp();
+    let opt = SolverSpec::parse("opt:budget=30").expect("valid spec");
     for p_edge in [0.2, 0.5, 0.8] {
         let topo = erdos_renyi(16, p_edge, 1000.0, 42);
         let problem = problem_for(

@@ -5,8 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netrec_bench::problem_for;
-use netrec_core::heuristics::srt::solve_srt;
-use netrec_core::{solve_isp, IspConfig};
+use netrec_core::{SolveContext, SolverSpec};
 use netrec_disrupt::DisruptionModel;
 use netrec_topology::caida::caida_sized;
 use netrec_topology::demand::DemandSpec;
@@ -24,10 +23,18 @@ fn bench(c: &mut Criterion) {
             9,
         );
         g.bench_with_input(BenchmarkId::new("isp", pairs), &problem, |b, p| {
-            b.iter(|| solve_isp(black_box(p), &IspConfig::default()).unwrap())
+            b.iter(|| {
+                SolverSpec::isp()
+                    .solve(black_box(p), &mut SolveContext::new())
+                    .unwrap()
+            })
         });
         g.bench_with_input(BenchmarkId::new("srt", pairs), &problem, |b, p| {
-            b.iter(|| solve_srt(black_box(p)))
+            b.iter(|| {
+                SolverSpec::srt()
+                    .solve(black_box(p), &mut SolveContext::new())
+                    .unwrap()
+            })
         });
     }
     g.finish();

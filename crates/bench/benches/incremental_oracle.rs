@@ -10,12 +10,14 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use netrec_bench::bell_instance;
 use netrec_core::oracle::{Cached, ExactLp, IncrementalOracle};
 use netrec_core::schedule::schedule_recovery_with_oracle;
-use netrec_core::{solve_isp, IspConfig};
+use netrec_core::{SolveContext, SolverSpec};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let problem = bell_instance(4, 10.0);
-    let plan = solve_isp(&problem, &IspConfig::default()).unwrap();
+    let plan = SolverSpec::isp()
+        .solve(&problem, &mut SolveContext::new())
+        .unwrap();
 
     let mut g = c.benchmark_group("incremental");
     g.sample_size(10);

@@ -1,9 +1,9 @@
 //! Dispatch-overhead check for the unified solver layer: running an
-//! algorithm through `Box<dyn RecoverySolver>` (one virtual call plus a
-//! fresh `SolveContext` per solve — exactly what the sim runner does)
-//! must cost the same as calling the old free function directly.
+//! algorithm through `SolverSpec::solve` (one `match` plus a fresh
+//! `SolveContext` per solve — exactly what the sim runner does) must
+//! cost the same as calling its context-aware entry point directly.
 //!
-//! `BENCH_solver_dispatch.json` records `direct/<alg>` vs `trait/<alg>`
+//! `BENCH_solver_dispatch.json` records `direct/<alg>` vs `spec/<alg>`
 //! medians on the Bell-Canada full-destruction instance; the acceptance
 //! bar is ≤2% overhead. SRT and GRD-COM are the sensitive probes (their
 //! solves are fastest, so fixed dispatch cost is proportionally
@@ -11,10 +11,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netrec_bench::bell_instance;
-use netrec_core::heuristics::greedy::{solve_grd_com, GreedyConfig};
-use netrec_core::heuristics::srt::solve_srt;
+use netrec_core::heuristics::greedy::{solve_grd_com_in, GreedyConfig};
+use netrec_core::heuristics::srt::solve_srt_in;
+use netrec_core::isp::solve_isp_in;
 use netrec_core::solver::{SolveContext, SolverSpec};
-use netrec_core::{solve_isp, IspConfig};
+use netrec_core::IspConfig;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -26,9 +27,11 @@ fn bench(c: &mut Criterion) {
     g.sample_size(40);
 
     // SRT: microsecond-scale solve, worst case for relative overhead.
-    g.bench_function("direct/srt", |b| b.iter(|| solve_srt(black_box(&problem))));
-    let srt = SolverSpec::srt().build();
-    g.bench_function("trait/srt", |b| {
+    g.bench_function("direct/srt", |b| {
+        b.iter(|| solve_srt_in(black_box(&problem), &mut SolveContext::new()).unwrap())
+    });
+    let srt = SolverSpec::srt();
+    g.bench_function("spec/srt", |b| {
         b.iter(|| {
             srt.solve(black_box(&problem), &mut SolveContext::new())
                 .unwrap()
@@ -38,10 +41,17 @@ fn bench(c: &mut Criterion) {
     // GRD-COM: path-pool heuristic, millisecond scale.
     let greedy_config = GreedyConfig::default();
     g.bench_function("direct/grd-com", |b| {
-        b.iter(|| solve_grd_com(black_box(&problem), &greedy_config))
+        b.iter(|| {
+            solve_grd_com_in(
+                black_box(&problem),
+                &greedy_config,
+                &mut SolveContext::new(),
+            )
+            .unwrap()
+        })
     });
-    let grd_com = SolverSpec::grd_com().build();
-    g.bench_function("trait/grd-com", |b| {
+    let grd_com = SolverSpec::grd_com();
+    g.bench_function("spec/grd-com", |b| {
         b.iter(|| {
             grd_com
                 .solve(black_box(&problem), &mut SolveContext::new())
@@ -52,10 +62,10 @@ fn bench(c: &mut Criterion) {
     // ISP: the paper's heuristic end to end.
     let isp_config = IspConfig::default();
     g.bench_function("direct/isp", |b| {
-        b.iter(|| solve_isp(black_box(&problem), &isp_config).unwrap())
+        b.iter(|| solve_isp_in(black_box(&problem), &isp_config, &mut SolveContext::new()).unwrap())
     });
-    let isp = SolverSpec::isp().build();
-    g.bench_function("trait/isp", |b| {
+    let isp = SolverSpec::isp();
+    g.bench_function("spec/isp", |b| {
         b.iter(|| {
             isp.solve(black_box(&problem), &mut SolveContext::new())
                 .unwrap()

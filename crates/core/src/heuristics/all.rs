@@ -5,33 +5,28 @@ use crate::{RecoveryError, RecoveryPlan, RecoveryProblem};
 use netrec_graph::{EdgeId, NodeId};
 
 /// Repairs everything broken. The paper plots this as the upper envelope
-/// (`ALL`) of all figures.
+/// (`ALL`) of all figures. The deadline/cancellation flag of `ctx` is
+/// checked once on entry; ALL is otherwise instantaneous.
+///
+/// # Errors
+///
+/// [`RecoveryError::DeadlineExceeded`] / [`RecoveryError::Cancelled`]
+/// from the context; ALL itself cannot fail.
 ///
 /// # Example
 ///
 /// ```
-/// use netrec_core::{heuristics::all::solve_all, RecoveryProblem};
+/// use netrec_core::{heuristics::all::solve_all_in, RecoveryProblem, SolveContext};
 /// use netrec_graph::Graph;
 ///
 /// let mut g = Graph::with_nodes(2);
 /// let e = g.add_edge(g.node(0), g.node(1), 1.0)?;
 /// let mut p = RecoveryProblem::new(g);
 /// p.break_edge(e, 1.0)?;
-/// assert_eq!(solve_all(&p).total_repairs(), 1);
+/// let plan = solve_all_in(&p, &mut SolveContext::new())?;
+/// assert_eq!(plan.total_repairs(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn solve_all(problem: &RecoveryProblem) -> RecoveryPlan {
-    solve_all_in(problem, &mut SolveContext::new())
-        .expect("a default context imposes no deadline and ALL cannot fail")
-}
-
-/// Runs ALL under an explicit [`SolveContext`] (deadline/cancellation is
-/// checked once on entry; ALL is otherwise instantaneous).
-///
-/// # Errors
-///
-/// [`RecoveryError::DeadlineExceeded`] / [`RecoveryError::Cancelled`]
-/// from the context; ALL itself cannot fail.
 pub fn solve_all_in(
     problem: &RecoveryProblem,
     ctx: &mut SolveContext<'_>,
@@ -58,6 +53,7 @@ pub fn solve_all_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolverSpec;
     use netrec_graph::Graph;
 
     #[test]
@@ -68,7 +64,9 @@ mod tests {
         let mut p = RecoveryProblem::new(g);
         p.break_edge(e0, 1.0).unwrap();
         p.break_node(p.graph().node(2), 1.0).unwrap();
-        let plan = solve_all(&p);
+        let plan = SolverSpec::all()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.total_repairs(), 2);
         assert_eq!(plan.repaired_edges, vec![e0]);
         assert_eq!(plan.repaired_nodes, vec![p.graph().node(2)]);
@@ -78,6 +76,12 @@ mod tests {
     fn nothing_broken_nothing_repaired() {
         let g = Graph::with_nodes(2);
         let p = RecoveryProblem::new(g);
-        assert_eq!(solve_all(&p).total_repairs(), 0);
+        assert_eq!(
+            SolverSpec::all()
+                .solve(&p, &mut SolveContext::new())
+                .unwrap()
+                .total_repairs(),
+            0
+        );
     }
 }

@@ -132,13 +132,21 @@ fn repair_path(
     }
 }
 
-/// Runs Greedy Commitment (GRD-COM).
+/// Runs Greedy Commitment (GRD-COM) under an explicit [`SolveContext`]:
+/// the deadline/cancellation flag is checked once per ranked-path step.
+/// (GRD-COM asks no oracle questions, so the context's oracle override
+/// does not apply.)
+///
+/// # Errors
+///
+/// [`RecoveryError::DeadlineExceeded`] / [`RecoveryError::Cancelled`]
+/// from the context; GRD-COM itself cannot fail.
 ///
 /// # Example
 ///
 /// ```
-/// use netrec_core::heuristics::greedy::{solve_grd_com, GreedyConfig};
-/// use netrec_core::RecoveryProblem;
+/// use netrec_core::heuristics::greedy::{solve_grd_com_in, GreedyConfig};
+/// use netrec_core::{RecoveryProblem, SolveContext};
 /// use netrec_graph::Graph;
 ///
 /// let mut g = Graph::with_nodes(3);
@@ -148,24 +156,10 @@ fn repair_path(
 /// p.add_demand(p.graph().node(0), p.graph().node(2), 5.0)?;
 /// p.break_edge(e0, 1.0)?;
 /// p.break_edge(e1, 1.0)?;
-/// let plan = solve_grd_com(&p, &GreedyConfig::default());
+/// let plan = solve_grd_com_in(&p, &GreedyConfig::default(), &mut SolveContext::new())?;
 /// assert_eq!(plan.repaired_edges.len(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn solve_grd_com(problem: &RecoveryProblem, config: &GreedyConfig) -> RecoveryPlan {
-    solve_grd_com_in(problem, config, &mut SolveContext::new())
-        .expect("a default context imposes no deadline and GRD-COM solves no LPs")
-}
-
-/// Runs GRD-COM under an explicit [`SolveContext`]: the
-/// deadline/cancellation flag is checked once per ranked-path step.
-/// (GRD-COM asks no oracle questions, so the context's oracle override
-/// does not apply.)
-///
-/// # Errors
-///
-/// [`RecoveryError::DeadlineExceeded`] / [`RecoveryError::Cancelled`]
-/// from the context; GRD-COM itself cannot fail.
 pub fn solve_grd_com_in(
     problem: &RecoveryProblem,
     config: &GreedyConfig,
@@ -256,24 +250,10 @@ pub fn solve_grd_com_in(
     Ok(plan)
 }
 
-/// Runs Greedy No-Commitment (GRD-NC).
-///
-/// Thin shim over [`solve_grd_nc_in`] with a default [`SolveContext`];
-/// prefer [`crate::solver::SolverSpec`] for new code.
-///
-/// # Errors
-///
-/// Propagates LP failures from the routability test.
-pub fn solve_grd_nc(
-    problem: &RecoveryProblem,
-    config: &GreedyConfig,
-) -> Result<RecoveryPlan, RecoveryError> {
-    solve_grd_nc_in(problem, config, &mut SolveContext::new())
-}
-
-/// Runs GRD-NC under an explicit [`SolveContext`]: the context's oracle
-/// override (when set) supersedes [`GreedyConfig::oracle`], and the
-/// deadline/cancellation flag is checked once per repaired path.
+/// Runs Greedy No-Commitment (GRD-NC) under an explicit
+/// [`SolveContext`]: the context's oracle override (when set)
+/// supersedes [`GreedyConfig::oracle`], and the deadline/cancellation
+/// flag is checked once per repaired path.
 ///
 /// # Errors
 ///
@@ -369,6 +349,7 @@ pub fn unrepaired(problem: &RecoveryProblem, plan: &RecoveryPlan) -> (Vec<NodeId
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolverSpec;
     use netrec_graph::Graph;
 
     /// Two 2-hop routes (caps 10 / 4), fully broken, unit costs.
@@ -395,7 +376,9 @@ mod tests {
     #[test]
     fn grd_com_picks_the_high_capacity_route() {
         let p = broken_square(8.0);
-        let plan = solve_grd_com(&p, &GreedyConfig::default());
+        let plan = SolverSpec::grd_com()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         // Weight of top route: 5 repairs / cap 10 = 0.5; bottom: 5/4.
         assert_eq!(plan.total_repairs(), 5);
         assert!(plan.verify_routable(&p).unwrap());
@@ -404,7 +387,9 @@ mod tests {
     #[test]
     fn grd_nc_terminates_when_routable() {
         let p = broken_square(8.0);
-        let plan = solve_grd_nc(&p, &GreedyConfig::default()).unwrap();
+        let plan = SolverSpec::grd_nc()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert!(plan.verify_routable(&p).unwrap());
         assert!(plan.total_repairs() >= 5);
     }
@@ -412,15 +397,21 @@ mod tests {
     #[test]
     fn grd_nc_never_loses_demand() {
         let p = broken_square(12.0);
-        let plan = solve_grd_nc(&p, &GreedyConfig::default()).unwrap();
+        let plan = SolverSpec::grd_nc()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert!((plan.satisfied_fraction(&p).unwrap() - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn grd_com_uses_no_more_repairs_than_nc_here() {
         let p = broken_square(12.0);
-        let com = solve_grd_com(&p, &GreedyConfig::default());
-        let nc = solve_grd_nc(&p, &GreedyConfig::default()).unwrap();
+        let com = SolverSpec::grd_com()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
+        let nc = SolverSpec::grd_nc()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert!(com.total_repairs() <= nc.total_repairs());
     }
 
@@ -455,7 +446,9 @@ mod tests {
     #[test]
     fn unrepaired_accounts_for_everything() {
         let p = broken_square(8.0);
-        let plan = solve_grd_com(&p, &GreedyConfig::default());
+        let plan = SolverSpec::grd_com()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         let (un, ue) = unrepaired(&p, &plan);
         assert_eq!(un.len() + plan.repaired_nodes.len(), 4);
         assert_eq!(ue.len() + plan.repaired_edges.len(), 4);
@@ -470,7 +463,9 @@ mod tests {
         p.add_demand(p.graph().node(0), p.graph().node(2), 1.0)
             .unwrap();
         p.break_edge(e, 1.0).unwrap();
-        let plan = solve_grd_com(&p, &GreedyConfig::default());
+        let plan = SolverSpec::grd_com()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.total_repairs(), 0);
     }
 }

@@ -63,31 +63,20 @@ impl Default for McfRelaxConfig {
     }
 }
 
-/// Solves the relaxation and extracts the requested extreme.
-///
-/// Returns an error if the demand is unroutable even on the full graph.
-///
-/// # Errors
-///
-/// * [`RecoveryError::InfeasibleEvenIfAllRepaired`];
-/// * LP solver failures.
-pub fn solve_mcf_relax(
-    problem: &RecoveryProblem,
-    extreme: McfExtreme,
-    config: &McfRelaxConfig,
-) -> Result<RecoveryPlan, RecoveryError> {
-    solve_mcf_relax_in(problem, extreme, config, &mut SolveContext::new())
-}
-
-/// Runs MCB/MCW under an explicit [`SolveContext`]: the context's oracle
-/// override (when set) supersedes [`McfRelaxConfig::oracle`] for MCB's
-/// elimination pre-screen, and the deadline/cancellation flag is checked
-/// on entry and once per greedy elimination round.
+/// Solves the relaxation and extracts the requested extreme under an
+/// explicit [`SolveContext`]: the context's oracle override (when set)
+/// supersedes [`McfRelaxConfig::oracle`] for MCB's elimination
+/// pre-screen, and the deadline/cancellation flag is checked on entry and
+/// once per greedy elimination round. MCW reads only the two tolerances
+/// of `config`.
 ///
 /// # Errors
 ///
-/// See [`solve_mcf_relax`], plus [`RecoveryError::DeadlineExceeded`] /
-/// [`RecoveryError::Cancelled`] from the context.
+/// * [`RecoveryError::InfeasibleEvenIfAllRepaired`] if the demand is
+///   unroutable even on the full graph;
+/// * LP solver failures;
+/// * [`RecoveryError::DeadlineExceeded`] / [`RecoveryError::Cancelled`]
+///   from the context.
 pub fn solve_mcf_relax_in(
     problem: &RecoveryProblem,
     extreme: McfExtreme,
@@ -222,6 +211,7 @@ fn collect_repairs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolverSpec;
     use netrec_graph::Graph;
 
     /// Two 2-hop routes (caps 10 / 4): top broken, bottom broken.
@@ -245,7 +235,9 @@ mod tests {
     #[test]
     fn best_concentrates_on_one_route() {
         let p = broken_square(8.0);
-        let plan = solve_mcf_relax(&p, McfExtreme::Best, &McfRelaxConfig::default()).unwrap();
+        let plan = SolverSpec::mcb()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.repaired_edges.len(), 2);
         assert!(plan.verify_routable(&p).unwrap());
     }
@@ -253,8 +245,12 @@ mod tests {
     #[test]
     fn worst_spreads_over_both_routes() {
         let p = broken_square(8.0);
-        let best = solve_mcf_relax(&p, McfExtreme::Best, &McfRelaxConfig::default()).unwrap();
-        let worst = solve_mcf_relax(&p, McfExtreme::Worst, &McfRelaxConfig::default()).unwrap();
+        let best = SolverSpec::mcb()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
+        let worst = SolverSpec::mcw()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert!(worst.total_repairs() >= best.total_repairs());
         // Flow cost is tied (both routes have 2 broken edges at cost 1 per
         // unit), so the worst optimum uses all four edges.
@@ -264,19 +260,18 @@ mod tests {
     #[test]
     fn oracle_prescreened_elimination_matches_unscreened_mcb() {
         let p = broken_square(8.0);
-        let screened = solve_mcf_relax(
-            &p,
-            McfExtreme::Best,
-            &McfRelaxConfig {
-                oracle: Some(crate::OracleSpec::CachedExact),
-                ..Default::default()
-            },
-        )
+        let screened = SolverSpec::Mcb(McfRelaxConfig {
+            oracle: Some(crate::OracleSpec::CachedExact),
+            ..Default::default()
+        })
+        .solve(&p, &mut SolveContext::new())
         .unwrap();
         assert!(screened.verify_routable(&p).unwrap());
         // An exact pre-screen only skips re-solves that would have come
         // back infeasible anyway, so the plan is identical.
-        let base = solve_mcf_relax(&p, McfExtreme::Best, &McfRelaxConfig::default()).unwrap();
+        let base = SolverSpec::mcb()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(screened.repaired_edges, base.repaired_edges);
         assert_eq!(screened.repaired_nodes, base.repaired_nodes);
     }
@@ -284,7 +279,9 @@ mod tests {
     #[test]
     fn both_routes_needed_at_high_demand() {
         let p = broken_square(12.0);
-        let plan = solve_mcf_relax(&p, McfExtreme::Best, &McfRelaxConfig::default()).unwrap();
+        let plan = SolverSpec::mcb()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.repaired_edges.len(), 4);
     }
 
@@ -292,7 +289,7 @@ mod tests {
     fn infeasible_detected() {
         let p = broken_square(15.0);
         assert!(matches!(
-            solve_mcf_relax(&p, McfExtreme::Best, &McfRelaxConfig::default()),
+            SolverSpec::mcb().solve(&p, &mut SolveContext::new()),
             Err(RecoveryError::InfeasibleEvenIfAllRepaired)
         ));
     }
@@ -308,7 +305,9 @@ mod tests {
         p.break_edge(e0, 1.0).unwrap();
         p.break_edge(e1, 1.0).unwrap();
         p.break_node(p.graph().node(1), 1.0).unwrap();
-        let plan = solve_mcf_relax(&p, McfExtreme::Best, &McfRelaxConfig::default()).unwrap();
+        let plan = SolverSpec::mcb()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.repaired_nodes, vec![p.graph().node(1)]);
         assert_eq!(plan.repaired_edges.len(), 2);
     }
@@ -327,7 +326,9 @@ mod tests {
             .unwrap();
         p.break_edge(e_top1, 1.0).unwrap();
         p.break_edge(e_top2, 1.0).unwrap();
-        let plan = solve_mcf_relax(&p, McfExtreme::Best, &McfRelaxConfig::default()).unwrap();
+        let plan = SolverSpec::mcb()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.total_repairs(), 0);
     }
 }

@@ -75,20 +75,25 @@ fn warm_start_plan(
     })
 }
 
-/// Solves MinR exactly (or to the node budget) and returns the cheapest
-/// known plan.
+/// Solves MinR exactly (or to the node budget) under an explicit
+/// [`SolveContext`] and returns the cheapest known plan.
+/// Deadline/cancellation checks are coarse here: on entry, after each
+/// warm-start heuristic, and before the branch & bound — the MILP search
+/// itself is bounded by [`OptConfig::node_budget`], not by wall clock.
 ///
 /// # Errors
 ///
 /// * [`RecoveryError::InfeasibleEvenIfAllRepaired`] when no repair set can
 ///   route the demand;
-/// * LP solver failures.
+/// * LP solver failures;
+/// * [`RecoveryError::DeadlineExceeded`] / [`RecoveryError::Cancelled`]
+///   from the context.
 ///
 /// # Example
 ///
 /// ```
-/// use netrec_core::heuristics::opt::{solve_opt, OptConfig};
-/// use netrec_core::RecoveryProblem;
+/// use netrec_core::heuristics::opt::{solve_opt_in, OptConfig};
+/// use netrec_core::{RecoveryProblem, SolveContext};
 /// use netrec_graph::Graph;
 ///
 /// let mut g = Graph::with_nodes(3);
@@ -98,26 +103,10 @@ fn warm_start_plan(
 /// p.add_demand(p.graph().node(0), p.graph().node(2), 5.0)?;
 /// p.break_edge(e0, 1.0)?;
 /// p.break_edge(e1, 1.0)?;
-/// let plan = solve_opt(&p, &OptConfig::default())?;
+/// let plan = solve_opt_in(&p, &OptConfig::default(), &mut SolveContext::new())?;
 /// assert_eq!(plan.total_repairs(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn solve_opt(
-    problem: &RecoveryProblem,
-    config: &OptConfig,
-) -> Result<RecoveryPlan, RecoveryError> {
-    solve_opt_in(problem, config, &mut SolveContext::new())
-}
-
-/// Runs OPT under an explicit [`SolveContext`]. Deadline/cancellation
-/// checks are coarse here: on entry, after each warm-start heuristic, and
-/// before the branch & bound — the MILP search itself is bounded by
-/// [`OptConfig::node_budget`], not by wall clock.
-///
-/// # Errors
-///
-/// See [`solve_opt`], plus [`RecoveryError::DeadlineExceeded`] /
-/// [`RecoveryError::Cancelled`] from the context.
 pub fn solve_opt_in(
     problem: &RecoveryProblem,
     config: &OptConfig,
@@ -347,7 +336,7 @@ pub fn solve_opt_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve_isp;
+    use crate::SolverSpec;
     use netrec_graph::Graph;
 
     /// Two 2-hop routes (caps 10 / 4), fully broken, unit costs.
@@ -374,7 +363,9 @@ mod tests {
     #[test]
     fn optimum_on_small_demand() {
         let p = broken_square(8.0);
-        let plan = solve_opt(&p, &OptConfig::default()).unwrap();
+        let plan = SolverSpec::opt()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.total_repairs(), 5);
         assert!(plan.verify_routable(&p).unwrap());
     }
@@ -382,7 +373,9 @@ mod tests {
     #[test]
     fn optimum_when_both_routes_needed() {
         let p = broken_square(12.0);
-        let plan = solve_opt(&p, &OptConfig::default()).unwrap();
+        let plan = SolverSpec::opt()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.total_repairs(), 8);
         assert!(plan.verify_routable(&p).unwrap());
     }
@@ -394,22 +387,30 @@ mod tests {
             warm_start: false,
             node_budget: None,
         };
-        let plan = solve_opt(&p, &config).unwrap();
+        let plan = SolverSpec::Opt(config)
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.total_repairs(), 5);
     }
 
     #[test]
     fn opt_never_exceeds_isp() {
         let p = broken_square(12.0);
-        let isp = solve_isp(&p, &IspConfig::default()).unwrap();
-        let opt = solve_opt(&p, &OptConfig::default()).unwrap();
+        let isp = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
+        let opt = SolverSpec::opt()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert!(opt.repair_cost(&p) <= isp.repair_cost(&p) + 1e-9);
     }
 
     #[test]
     fn infeasible_demand_detected() {
         let p = broken_square(15.0);
-        assert!(solve_opt(&p, &OptConfig::default()).is_err());
+        assert!(SolverSpec::opt()
+            .solve(&p, &mut SolveContext::new())
+            .is_err());
     }
 
     #[test]
@@ -429,7 +430,9 @@ mod tests {
         p.break_edge(e_top2, 10.0).unwrap();
         p.break_edge(e_bot1, 1.0).unwrap();
         p.break_edge(e_bot2, 1.0).unwrap();
-        let plan = solve_opt(&p, &OptConfig::default()).unwrap();
+        let plan = SolverSpec::opt()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         let mut repaired = plan.repaired_edges.clone();
         repaired.sort();
         assert_eq!(repaired, vec![e_bot1, e_bot2]);
@@ -441,7 +444,9 @@ mod tests {
         let e = g.add_edge(g.node(0), g.node(1), 1.0).unwrap();
         let mut p = RecoveryProblem::new(g);
         p.break_edge(e, 1.0).unwrap();
-        let plan = solve_opt(&p, &OptConfig::default()).unwrap();
+        let plan = SolverSpec::opt()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.total_repairs(), 0);
     }
 }

@@ -10,18 +10,25 @@ use crate::solver::{ProgressEvent, SolveContext};
 use crate::{RecoveryError, RecoveryPlan, RecoveryProblem};
 use netrec_graph::dijkstra;
 
-/// Runs SRT on `problem`.
+/// Runs SRT on `problem` under an explicit [`SolveContext`].
 ///
 /// Paths are shortest in hop count (ties broken by Dijkstra's
 /// deterministic ordering); for each demand, successive shortest paths are
 /// collected on a private residual graph until their combined bottleneck
 /// capacity covers the demand, and every broken node/edge on them is
-/// repaired.
+/// repaired. The deadline/cancellation flag is checked once per demand.
+/// (SRT asks no oracle questions, so the context's oracle override does
+/// not apply.)
+///
+/// # Errors
+///
+/// [`RecoveryError::DeadlineExceeded`] / [`RecoveryError::Cancelled`]
+/// from the context; SRT itself cannot fail.
 ///
 /// # Example
 ///
 /// ```
-/// use netrec_core::{heuristics::srt::solve_srt, RecoveryProblem};
+/// use netrec_core::{heuristics::srt::solve_srt_in, RecoveryProblem, SolveContext};
 /// use netrec_graph::Graph;
 ///
 /// let mut g = Graph::with_nodes(3);
@@ -31,23 +38,10 @@ use netrec_graph::dijkstra;
 /// p.add_demand(p.graph().node(0), p.graph().node(2), 5.0)?;
 /// p.break_edge(e0, 1.0)?;
 /// p.break_edge(e1, 1.0)?;
-/// let plan = solve_srt(&p);
+/// let plan = solve_srt_in(&p, &mut SolveContext::new())?;
 /// assert_eq!(plan.repaired_edges.len(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn solve_srt(problem: &RecoveryProblem) -> RecoveryPlan {
-    solve_srt_in(problem, &mut SolveContext::new())
-        .expect("a default context imposes no deadline and SRT solves no LPs")
-}
-
-/// Runs SRT under an explicit [`SolveContext`]: the deadline/cancellation
-/// flag is checked once per demand. (SRT asks no oracle questions, so the
-/// context's oracle override does not apply.)
-///
-/// # Errors
-///
-/// [`RecoveryError::DeadlineExceeded`] / [`RecoveryError::Cancelled`]
-/// from the context; SRT itself cannot fail.
 pub fn solve_srt_in(
     problem: &RecoveryProblem,
     ctx: &mut SolveContext<'_>,
@@ -100,6 +94,7 @@ pub fn solve_srt_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolverSpec;
     use netrec_graph::Graph;
 
     /// Two 2-hop routes (caps 10 / 4), fully broken.
@@ -126,7 +121,9 @@ mod tests {
     #[test]
     fn repairs_one_route_for_small_demand() {
         let p = broken_square(8.0);
-        let plan = solve_srt(&p);
+        let plan = SolverSpec::srt()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         // One 2-hop route: 2 edges + 3 nodes.
         assert_eq!(plan.total_repairs(), 5);
         assert!(plan.verify_routable(&p).unwrap());
@@ -135,7 +132,9 @@ mod tests {
     #[test]
     fn repairs_both_routes_for_large_demand() {
         let p = broken_square(12.0);
-        let plan = solve_srt(&p);
+        let plan = SolverSpec::srt()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.total_repairs(), 8);
     }
 
@@ -155,7 +154,9 @@ mod tests {
         for e in [e_mid, e_a, e_b] {
             p.break_edge(e, 1.0).unwrap();
         }
-        let plan = solve_srt(&p);
+        let plan = SolverSpec::srt()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         let satisfied = plan.satisfied_fraction(&p).unwrap();
         assert!(
             satisfied < 1.0 - 1e-6,
@@ -168,7 +169,9 @@ mod tests {
     #[test]
     fn demands_processed_in_decreasing_order() {
         let p = broken_square(8.0);
-        let plan = solve_srt(&p);
+        let plan = SolverSpec::srt()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.iterations, 1);
         assert_eq!(plan.algorithm, "SRT");
     }
@@ -179,6 +182,12 @@ mod tests {
         let e = g.add_edge(g.node(0), g.node(1), 1.0).unwrap();
         let mut p = RecoveryProblem::new(g);
         p.break_edge(e, 1.0).unwrap();
-        assert_eq!(solve_srt(&p).total_repairs(), 0);
+        assert_eq!(
+            SolverSpec::srt()
+                .solve(&p, &mut SolveContext::new())
+                .unwrap()
+                .total_repairs(),
+            0
+        );
     }
 }

@@ -111,18 +111,26 @@ pub struct IspStats {
     pub oracle: OracleStats,
 }
 
-/// Runs ISP on `problem`.
+/// Runs ISP on `problem` under an explicit [`SolveContext`] and returns
+/// the plan with its [`IspStats`]: the context's oracle override (when
+/// set) supersedes [`IspConfig::oracle`], the deadline/cancellation flag
+/// is checked once per main-loop iteration, and progress events are
+/// emitted for the precheck, the main loop, repair growth, and the final
+/// oracle counters.
 ///
 /// # Errors
 ///
 /// * [`RecoveryError::InfeasibleEvenIfAllRepaired`] if the demand cannot
 ///   be routed even on the fully repaired network;
-/// * LP solver failures.
+/// * LP solver failures;
+/// * [`RecoveryError::DeadlineExceeded`] / [`RecoveryError::Cancelled`]
+///   from the context.
 ///
 /// # Example
 ///
 /// ```
-/// use netrec_core::{solve_isp, IspConfig, RecoveryProblem};
+/// use netrec_core::isp::solve_isp_in;
+/// use netrec_core::{IspConfig, RecoveryProblem, SolveContext};
 /// use netrec_graph::Graph;
 ///
 /// let mut g = Graph::with_nodes(3);
@@ -132,43 +140,11 @@ pub struct IspStats {
 /// p.add_demand(p.graph().node(0), p.graph().node(2), 5.0)?;
 /// p.break_edge(e0, 1.0)?;
 /// p.break_edge(e1, 1.0)?;
-/// let plan = solve_isp(&p, &IspConfig::default())?;
+/// let (plan, stats) = solve_isp_in(&p, &IspConfig::default(), &mut SolveContext::new())?;
 /// assert!(plan.verify_routable(&p)?);
+/// assert!(stats.iterations > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn solve_isp(
-    problem: &RecoveryProblem,
-    config: &IspConfig,
-) -> Result<RecoveryPlan, RecoveryError> {
-    let (plan, _) = solve_isp_with_stats(problem, config)?;
-    Ok(plan)
-}
-
-/// Runs ISP and returns detailed statistics alongside the plan.
-///
-/// Thin shim over [`solve_isp_in`] with a default [`SolveContext`];
-/// prefer [`crate::solver::SolverSpec`] for new code.
-///
-/// # Errors
-///
-/// See [`solve_isp`].
-pub fn solve_isp_with_stats(
-    problem: &RecoveryProblem,
-    config: &IspConfig,
-) -> Result<(RecoveryPlan, IspStats), RecoveryError> {
-    solve_isp_in(problem, config, &mut SolveContext::new())
-}
-
-/// Runs ISP under an explicit [`SolveContext`]: the context's oracle
-/// override (when set) supersedes [`IspConfig::oracle`], the
-/// deadline/cancellation flag is checked once per main-loop iteration,
-/// and progress events are emitted for the precheck, the main loop,
-/// repair growth, and the final oracle counters.
-///
-/// # Errors
-///
-/// See [`solve_isp`], plus [`RecoveryError::DeadlineExceeded`] /
-/// [`RecoveryError::Cancelled`] from the context.
 pub fn solve_isp_in(
     problem: &RecoveryProblem,
     config: &IspConfig,
@@ -499,6 +475,7 @@ fn force_repair(state: &mut IspState<'_>, config: &IspConfig) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolverSpec;
     use netrec_graph::Graph;
 
     /// Two parallel 2-hop routes (caps 10 / 4), everything broken.
@@ -525,7 +502,9 @@ mod tests {
     #[test]
     fn repairs_one_route_when_it_suffices() {
         let p = broken_square(8.0);
-        let plan = solve_isp(&p, &IspConfig::default()).unwrap();
+        let plan = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert!(plan.verify_routable(&p).unwrap());
         assert!(!plan.used_fallback);
         // Only the top route (2 edges + 3 nodes) is needed: 5 repairs,
@@ -540,7 +519,9 @@ mod tests {
     #[test]
     fn repairs_both_routes_when_demand_is_high() {
         let p = broken_square(12.0);
-        let plan = solve_isp(&p, &IspConfig::default()).unwrap();
+        let plan = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert!(plan.verify_routable(&p).unwrap());
         assert_eq!(plan.total_repairs(), 8, "needs the whole square");
     }
@@ -548,7 +529,9 @@ mod tests {
     #[test]
     fn infeasible_demand_is_detected() {
         let p = broken_square(15.0); // max flow of the square is 14
-        let err = solve_isp(&p, &IspConfig::default()).unwrap_err();
+        let err = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap_err();
         assert_eq!(err, RecoveryError::InfeasibleEvenIfAllRepaired);
     }
 
@@ -560,7 +543,9 @@ mod tests {
         let mut p = RecoveryProblem::new(g);
         p.add_demand(p.graph().node(0), p.graph().node(2), 5.0)
             .unwrap();
-        let plan = solve_isp(&p, &IspConfig::default()).unwrap();
+        let plan = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.total_repairs(), 0);
     }
 
@@ -570,7 +555,9 @@ mod tests {
         let e = g.add_edge(g.node(0), g.node(1), 1.0).unwrap();
         let mut p = RecoveryProblem::new(g);
         p.break_edge(e, 1.0).unwrap();
-        let plan = solve_isp(&p, &IspConfig::default()).unwrap();
+        let plan = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.total_repairs(), 0);
     }
 
@@ -582,7 +569,9 @@ mod tests {
         p.add_demand(p.graph().node(0), p.graph().node(1), 5.0)
             .unwrap();
         p.break_edge(e, 1.0).unwrap();
-        let plan = solve_isp(&p, &IspConfig::default()).unwrap();
+        let plan = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert_eq!(plan.repaired_edges, vec![e]);
         assert!(plan.verify_routable(&p).unwrap());
     }
@@ -596,7 +585,7 @@ mod tests {
             oracle: crate::OracleSpec::Auto { threshold: 0 },
             ..Default::default()
         };
-        let (plan, stats) = solve_isp_with_stats(&p, &config).unwrap();
+        let (plan, stats) = solve_isp_in(&p, &config, &mut SolveContext::new()).unwrap();
         assert!(plan.verify_routable(&p).unwrap());
         assert!(stats.oracle.approx_runs > 0, "{:?}", stats.oracle);
     }
@@ -613,7 +602,7 @@ mod tests {
                 oracle: spec.clone(),
                 ..Default::default()
             };
-            let (plan, stats) = solve_isp_with_stats(&p, &config).unwrap();
+            let (plan, stats) = solve_isp_in(&p, &config, &mut SolveContext::new()).unwrap();
             assert!(plan.verify_routable(&p).unwrap(), "{spec}");
             assert!(stats.oracle.queries() > 0, "{spec}: {:?}", stats.oracle);
             match spec {
@@ -649,7 +638,9 @@ mod tests {
         for e in edges {
             p.break_edge(e, 1.0).unwrap();
         }
-        let plan = solve_isp(&p, &IspConfig::default()).unwrap();
+        let plan = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         assert!(plan.verify_routable(&p).unwrap());
         // The whole line (5 nodes + 4 edges) is the unique solution; ISP
         // must not exceed it.

@@ -8,12 +8,13 @@
 //!
 //! All solvers live behind the unified [`solver`] layer: a
 //! [`SolverSpec`] names an algorithm plus its configuration as data,
-//! `build()` turns it into a [`solver::RecoverySolver`] trait object, and
-//! [`solver::registry`] lists the whole line-up of the paper's §VI:
+//! [`SolverSpec::solve`] runs it, and [`solver::registry`] lists the
+//! whole line-up of the paper's §VI:
 //!
 //! * `isp` — the paper's contribution: **Iterative Split and Prune**, a
 //!   polynomial-time heuristic built on demand-based centrality
-//!   ([`centrality`]); also directly via [`solve_isp`].
+//!   ([`centrality`]); [`isp::solve_isp_in`] also returns its
+//!   [`IspStats`].
 //! * `srt` — the Shortest-Path heuristic (SRT, §VI-B; [`heuristics::srt`]).
 //! * `grd-com` / `grd-nc` — Greedy Commitment and Greedy No-Commitment
 //!   (§VI-C), knapsack-style path ranking ([`heuristics::greedy`]).
@@ -51,8 +52,8 @@
 //! problem.break_node(problem.graph().node(2), 1.0)?;
 //!
 //! // Any CLI-style spec string works: "isp", "grd-nc:paths=8", "mcf:worst".
-//! let solver = SolverSpec::parse("isp")?.build();
-//! let plan = solver.solve(&problem, &mut SolveContext::new())?;
+//! let spec = SolverSpec::parse("isp")?;
+//! let plan = spec.solve(&problem, &mut SolveContext::new())?;
 //! assert_eq!(plan.repaired_nodes.len(), 1); // one relay suffices
 //! assert!(plan.verify_routable(&problem)?);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -80,11 +81,11 @@ pub mod vulnerability;
 
 pub use error::RecoveryError;
 pub use fault::{FaultPlan, Faults};
-pub use isp::{solve_isp, solve_isp_with_stats, IspConfig, IspStats, MetricMode};
+pub use isp::{IspConfig, IspStats, MetricMode};
 pub use oracle::{
     AnswerSource, ArtifactOracle, EvalOracle, OracleBuilder, OracleSpec, OracleStats,
     RoutabilityArtifact, RoutabilityOracle, SatisfactionOracle,
 };
 pub use plan::RecoveryPlan;
 pub use problem::{RecoveryProblem, StatePatch};
-pub use solver::{RecoverySolver, SolveContext, SolverSpec};
+pub use solver::{SolveContext, SolverSpec};

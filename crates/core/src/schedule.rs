@@ -107,7 +107,7 @@ impl Item {
 ///
 /// ```
 /// use netrec_core::schedule::schedule_recovery;
-/// use netrec_core::{solve_isp, IspConfig, RecoveryProblem};
+/// use netrec_core::{RecoveryProblem, SolveContext, SolverSpec};
 /// use netrec_graph::Graph;
 ///
 /// let mut g = Graph::with_nodes(3);
@@ -117,7 +117,7 @@ impl Item {
 /// p.add_demand(p.graph().node(0), p.graph().node(2), 5.0)?;
 /// p.break_edge(e0, 1.0)?;
 /// p.break_edge(e1, 1.0)?;
-/// let plan = solve_isp(&p, &IspConfig::default())?;
+/// let plan = SolverSpec::isp().solve(&p, &mut SolveContext::new())?;
 /// let schedule = schedule_recovery(&p, &plan, 1.0)?;
 /// assert_eq!(schedule.len(), 2); // one edge per unit-budget stage
 /// assert_eq!(*schedule.satisfaction_curve().last().unwrap(), 1.0);
@@ -284,7 +284,7 @@ fn apply(item: &Item, node_mask: &mut [bool], edge_mask: &mut [bool]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_isp, IspConfig};
+    use crate::{SolveContext, SolverSpec};
     use netrec_graph::Graph;
 
     /// Two independent broken lines serving two demands.
@@ -310,7 +310,9 @@ mod tests {
     #[test]
     fn schedule_covers_whole_plan() {
         let p = two_lines();
-        let plan = solve_isp(&p, &IspConfig::default()).unwrap();
+        let plan = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         let schedule = schedule_recovery(&p, &plan, 2.0).unwrap();
         let repaired: usize = schedule
             .stages
@@ -325,7 +327,9 @@ mod tests {
     #[test]
     fn greedy_prioritizes_the_bigger_demand() {
         let p = two_lines();
-        let plan = solve_isp(&p, &IspConfig::default()).unwrap();
+        let plan = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         // Budget 2: each stage repairs one whole line (2 edges). The
         // 6-unit line must come first: 6/8 = 75% after stage one.
         let schedule = schedule_recovery(&p, &plan, 2.0).unwrap();
@@ -337,7 +341,9 @@ mod tests {
     #[test]
     fn satisfaction_curve_is_monotone() {
         let p = two_lines();
-        let plan = solve_isp(&p, &IspConfig::default()).unwrap();
+        let plan = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         let schedule = schedule_recovery(&p, &plan, 1.0).unwrap();
         let curve = schedule.satisfaction_curve();
         for w in curve.windows(2) {
@@ -354,7 +360,9 @@ mod tests {
         p.add_demand(p.graph().node(0), p.graph().node(1), 3.0)
             .unwrap();
         p.break_edge(e, 10.0).unwrap(); // costs more than any budget
-        let plan = solve_isp(&p, &IspConfig::default()).unwrap();
+        let plan = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         let schedule = schedule_recovery(&p, &plan, 1.0).unwrap();
         assert_eq!(schedule.len(), 1);
         assert_eq!(schedule.stages[0].cost, 10.0);
@@ -375,7 +383,9 @@ mod tests {
     #[test]
     fn cached_oracle_cuts_lp_solves_below_stages_times_candidates() {
         let p = two_lines();
-        let plan = solve_isp(&p, &IspConfig::default()).unwrap();
+        let plan = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         let oracle = Cached::new(ExactLp::new());
         let schedule = schedule_recovery_with_oracle(&p, &plan, 1.0, &oracle).unwrap();
         assert_eq!(schedule.len(), 4);
@@ -404,7 +414,9 @@ mod tests {
     #[test]
     fn cached_schedule_matches_exact_schedule_across_repeats() {
         let p = two_lines();
-        let plan = solve_isp(&p, &IspConfig::default()).unwrap();
+        let plan = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         let exact = ExactLp::new();
         let reference = schedule_recovery_with_oracle(&p, &plan, 2.0, &exact).unwrap();
 
@@ -435,7 +447,9 @@ mod tests {
     #[test]
     fn incremental_schedule_matches_exact_schedule() {
         let p = two_lines();
-        let plan = solve_isp(&p, &IspConfig::default()).unwrap();
+        let plan = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         let exact = ExactLp::new();
         let reference = schedule_recovery_with_oracle(&p, &plan, 1.0, &exact).unwrap();
 
@@ -466,7 +480,9 @@ mod tests {
     #[test]
     fn approximate_oracle_keeps_curve_monotone_and_complete() {
         let p = two_lines();
-        let plan = solve_isp(&p, &IspConfig::default()).unwrap();
+        let plan = SolverSpec::isp()
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         let oracle = crate::oracle::ConcurrentFlowApprox::new(0.05).with_fallback_limit(0);
         let schedule = schedule_recovery_with_oracle(&p, &plan, 2.0, &oracle).unwrap();
         let repaired: usize = schedule

@@ -35,7 +35,7 @@ pub enum ProgressEvent {
     OracleSnapshot(OracleStats),
 }
 
-/// The cross-cutting state a [`RecoverySolver`](crate::solver::RecoverySolver)
+/// The cross-cutting state a [`SolverSpec::solve`](crate::solver::SolverSpec::solve)
 /// run threads through: an optional oracle-backend override, an optional
 /// wall-clock deadline, a cancellation flag, and a progress listener.
 ///

@@ -1,10 +1,10 @@
-//! The unified solver layer: one trait, one spec type, one registry.
+//! The unified solver layer: one spec type, one registry.
 //!
 //! The paper evaluates seven recovery algorithms side by side (§VI); this
 //! module makes that line-up *data* instead of code. Every algorithm is a
-//! [`RecoverySolver`] — one `solve` method taking the problem and a
-//! [`SolveContext`] — and is selected declaratively through a
-//! [`SolverSpec`] that carries its configuration inline:
+//! [`SolverSpec`] variant that carries its configuration inline, and
+//! [`SolverSpec::solve`] runs it on the problem under a
+//! [`SolveContext`]:
 //!
 //! ```
 //! use netrec_core::solver::{SolveContext, SolverSpec};
@@ -19,70 +19,38 @@
 //! problem.break_edge(e0, 1.0)?;
 //! problem.break_edge(e1, 1.0)?;
 //!
-//! let solver = SolverSpec::parse("isp")?.build();
-//! let plan = solver.solve(&problem, &mut SolveContext::new())?;
+//! let spec = SolverSpec::parse("isp")?;
+//! let plan = spec.solve(&problem, &mut SolveContext::new())?;
 //! assert!(plan.verify_routable(&problem)?);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! [`SolveContext`] centralizes the cross-cutting state the old free
-//! functions threaded (or failed to thread) ad hoc: the evaluation-oracle
-//! override from the oracle layer, an optional wall-clock deadline, a
-//! cancellation flag, and a progress-event listener. [`registry`] lists
-//! every built-in solver with its default spec and CLI syntax — the sim
-//! runner, the CLI's `--algo` / `--list-algorithms`, the benches, and the
-//! conformance tests all iterate it instead of hard-coding dispatch.
+//! [`SolveContext`] centralizes the cross-cutting state every run
+//! threads: the evaluation-oracle override from the oracle layer, an
+//! optional wall-clock deadline, a cancellation flag, and a
+//! progress-event listener. [`registry`] lists every built-in solver
+//! with its default spec and CLI syntax — the sim runner, the CLI's
+//! `--algo` / `--list-algorithms`, the benches, and the conformance tests
+//! all iterate it instead of hard-coding dispatch.
 //!
-//! The old free functions (`solve_isp`, `solve_srt`, …) remain as thin
-//! shims over the context-aware entry points so existing call sites keep
-//! compiling; new code should go through [`SolverSpec`].
+//! Each algorithm's context-aware entry point (`solve_isp_in`,
+//! `solve_srt_in`, …) stays public: it is what `solve` calls, and
+//! `solve_isp_in` is the only way to ISP's [`IspStats`](crate::IspStats).
 
 mod context;
-pub mod solvers;
 mod spec;
 
 pub use context::{ProgressEvent, SolveContext};
 pub use spec::{registry, SolverInfo, SolverParseError, SolverSpec};
 
-use crate::{RecoveryError, RecoveryPlan, RecoveryProblem};
-
-/// A recovery algorithm: turns a [`RecoveryProblem`] into a
-/// [`RecoveryPlan`] under the cross-cutting rules of a [`SolveContext`].
-///
-/// # Contract
-///
-/// * `solve` is **read-only** on the problem and deterministic for a
-///   fixed problem, configuration, and oracle backend.
-/// * Implementations call [`SolveContext::checkpoint`] on entry and at
-///   every outer-loop iteration, so deadlines and cancellation are
-///   honored within one iteration (a zero deadline always returns
-///   [`RecoveryError::DeadlineExceeded`] before any work).
-/// * Oracle-aware solvers resolve their backend through
-///   [`SolveContext::oracle_spec`], so a context override reaches every
-///   routability/satisfaction question of the run.
-/// * Progress events are advisory; emitting them must not change the
-///   result.
-pub trait RecoverySolver: Send + Sync {
-    /// Display name matching the paper's figures (`ISP`, `GRD-NC`, …).
-    fn name(&self) -> &str;
-
-    /// Solves `problem` under `ctx`.
-    ///
-    /// # Errors
-    ///
-    /// Algorithm-specific failures (infeasibility, LP errors) plus
-    /// [`RecoveryError::DeadlineExceeded`] / [`RecoveryError::Cancelled`]
-    /// from the context.
-    fn solve(
-        &self,
-        problem: &RecoveryProblem,
-        ctx: &mut SolveContext<'_>,
-    ) -> Result<RecoveryPlan, RecoveryError>;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heuristics::greedy::{solve_grd_com_in, solve_grd_nc_in};
+    use crate::heuristics::mcf_relax::{solve_mcf_relax_in, McfExtreme, McfRelaxConfig};
+    use crate::heuristics::{all::solve_all_in, opt::solve_opt_in, srt::solve_srt_in};
+    use crate::isp::solve_isp_in;
+    use crate::{RecoveryError, RecoveryPlan, RecoveryProblem};
     use netrec_graph::Graph;
 
     /// 0-1-2 line, both edges broken, demand 0→2.
@@ -102,23 +70,53 @@ mod tests {
     fn every_registry_solver_repairs_the_broken_line() {
         let p = broken_line();
         for entry in registry() {
-            let solver = entry.spec.build();
-            assert_eq!(solver.name(), entry.name());
-            let plan = solver.solve(&p, &mut SolveContext::new()).unwrap();
+            let plan = entry.spec.solve(&p, &mut SolveContext::new()).unwrap();
+            assert_eq!(plan.algorithm, entry.name());
             assert_eq!(plan.repaired_edges.len(), 2, "{}", entry.name());
             assert!(plan.verify_routable(&p).unwrap(), "{}", entry.name());
         }
     }
 
+    /// The entry point each spec must reach, called directly.
+    fn direct(
+        spec: &SolverSpec,
+        p: &RecoveryProblem,
+        ctx: &mut SolveContext<'_>,
+    ) -> Result<RecoveryPlan, RecoveryError> {
+        match spec {
+            SolverSpec::Isp(config) => solve_isp_in(p, config, ctx).map(|(plan, _)| plan),
+            SolverSpec::Opt(config) => solve_opt_in(p, config, ctx),
+            SolverSpec::Srt => solve_srt_in(p, ctx),
+            SolverSpec::GrdCom(config) => solve_grd_com_in(p, config, ctx),
+            SolverSpec::GrdNc(config) => solve_grd_nc_in(p, config, ctx),
+            SolverSpec::Mcb(config) => solve_mcf_relax_in(p, McfExtreme::Best, config, ctx),
+            SolverSpec::Mcw => {
+                solve_mcf_relax_in(p, McfExtreme::Worst, &McfRelaxConfig::default(), ctx)
+            }
+            SolverSpec::All => solve_all_in(p, ctx),
+        }
+    }
+
     #[test]
-    fn trait_dispatch_matches_direct_calls() {
+    fn every_spec_arm_runs_its_own_algorithm() {
         let p = broken_line();
-        let direct = crate::solve_isp(&p, &crate::IspConfig::default()).unwrap();
-        let via_trait = SolverSpec::isp()
-            .build()
-            .solve(&p, &mut SolveContext::new())
-            .unwrap();
-        assert_eq!(direct.repaired_edges, via_trait.repaired_edges);
-        assert_eq!(direct.repaired_nodes, via_trait.repaired_nodes);
+        for entry in registry() {
+            let via_spec = entry.spec.solve(&p, &mut SolveContext::new()).unwrap();
+            let direct = direct(&entry.spec, &p, &mut SolveContext::new()).unwrap();
+            assert_eq!(
+                via_spec.repaired_nodes,
+                direct.repaired_nodes,
+                "{}",
+                entry.name()
+            );
+            assert_eq!(
+                via_spec.repaired_edges,
+                direct.repaired_edges,
+                "{}",
+                entry.name()
+            );
+            assert_eq!(via_spec.algorithm, direct.algorithm, "{}", entry.name());
+            assert_eq!(via_spec.algorithm, entry.name());
+        }
     }
 }

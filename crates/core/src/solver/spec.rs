@@ -1,15 +1,14 @@
 //! Declarative solver selection: [`SolverSpec`], its canonical string
 //! encoding, and the [`registry`] of all built-in algorithms.
 
-use crate::heuristics::greedy::GreedyConfig;
-use crate::heuristics::mcf_relax::{McfExtreme, McfRelaxConfig};
-use crate::heuristics::opt::OptConfig;
+use crate::heuristics::greedy::{solve_grd_com_in, solve_grd_nc_in, GreedyConfig};
+use crate::heuristics::mcf_relax::{solve_mcf_relax_in, McfExtreme, McfRelaxConfig};
+use crate::heuristics::opt::{solve_opt_in, OptConfig};
+use crate::heuristics::{all::solve_all_in, srt::solve_srt_in};
+use crate::isp::solve_isp_in;
 use crate::oracle::OracleSpec;
-use crate::solver::solvers::{
-    AllSolver, GrdComSolver, GrdNcSolver, IspSolver, McfSolver, OptSolver, SrtSolver,
-};
-use crate::solver::RecoverySolver;
-use crate::{IspConfig, MetricMode};
+use crate::solver::SolveContext;
+use crate::{IspConfig, MetricMode, RecoveryError, RecoveryPlan, RecoveryProblem};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -17,8 +16,7 @@ use std::fmt;
 ///
 /// A `SolverSpec` is the serializable form of a solver: scenarios carry
 /// `Vec<SolverSpec>`, the CLI parses `--algo` strings into one, and
-/// [`SolverSpec::build`] turns it into a runnable
-/// [`RecoverySolver`] trait object. The canonical **string encoding**
+/// [`SolverSpec::solve`] runs it. The canonical **string encoding**
 /// (`Display` ↔ [`SolverSpec::parse`]) is `name[:key=value,...]`, e.g.
 /// `isp`, `grd-nc:paths=8`, `mcf:worst`, `opt:budget=200,warm-start=false`.
 /// With the offline serde stand-in this string form doubles as the
@@ -38,8 +36,10 @@ pub enum SolverSpec {
     GrdNc(GreedyConfig),
     /// Multi-commodity relaxation, best extraction.
     Mcb(McfRelaxConfig),
-    /// Multi-commodity relaxation, worst extraction.
-    Mcw(McfRelaxConfig),
+    /// Multi-commodity relaxation, worst extraction (no configuration:
+    /// the extraction reads neither MCB's elimination budget nor its
+    /// oracle).
+    Mcw,
     /// Repair everything broken.
     All,
 }
@@ -53,14 +53,6 @@ impl SolverSpec {
     /// OPT with default configuration.
     pub fn opt() -> Self {
         SolverSpec::Opt(OptConfig::default())
-    }
-
-    /// OPT with an explicit branch & bound node budget.
-    pub fn opt_budget(budget: Option<usize>) -> Self {
-        SolverSpec::Opt(OptConfig {
-            node_budget: budget,
-            ..Default::default()
-        })
     }
 
     /// SRT.
@@ -83,9 +75,9 @@ impl SolverSpec {
         SolverSpec::Mcb(McfRelaxConfig::default())
     }
 
-    /// MCW with default configuration.
+    /// MCW.
     pub fn mcw() -> Self {
-        SolverSpec::Mcw(McfRelaxConfig::default())
+        SolverSpec::Mcw
     }
 
     /// ALL.
@@ -102,7 +94,7 @@ impl SolverSpec {
             SolverSpec::GrdCom(_) => "GRD-COM",
             SolverSpec::GrdNc(_) => "GRD-NC",
             SolverSpec::Mcb(_) => "MCB",
-            SolverSpec::Mcw(_) => "MCW",
+            SolverSpec::Mcw => "MCW",
             SolverSpec::All => "ALL",
         }
     }
@@ -119,17 +111,46 @@ impl SolverSpec {
         )
     }
 
-    /// Instantiates the solver.
-    pub fn build(&self) -> Box<dyn RecoverySolver> {
-        match self.clone() {
-            SolverSpec::Isp(config) => Box::new(IspSolver::new(config)),
-            SolverSpec::Opt(config) => Box::new(OptSolver::new(config)),
-            SolverSpec::Srt => Box::new(SrtSolver),
-            SolverSpec::GrdCom(config) => Box::new(GrdComSolver::new(config)),
-            SolverSpec::GrdNc(config) => Box::new(GrdNcSolver::new(config)),
-            SolverSpec::Mcb(config) => Box::new(McfSolver::new(McfExtreme::Best, config)),
-            SolverSpec::Mcw(config) => Box::new(McfSolver::new(McfExtreme::Worst, config)),
-            SolverSpec::All => Box::new(AllSolver),
+    /// Runs this solver on `problem` under `ctx`, through the
+    /// algorithm's context-aware entry point with the spec's
+    /// configuration.
+    ///
+    /// # Contract
+    ///
+    /// * `solve` is **read-only** on the problem and deterministic for a
+    ///   fixed problem, configuration, and oracle backend.
+    /// * Every algorithm calls [`SolveContext::checkpoint`] on entry and
+    ///   at every outer-loop iteration, so deadlines and cancellation are
+    ///   honored within one iteration (a zero deadline always returns
+    ///   [`RecoveryError::DeadlineExceeded`] before any work).
+    /// * Oracle-aware solvers ([`SolverSpec::uses_oracle`]) resolve their
+    ///   backend through [`SolveContext::oracle_spec`], so a context
+    ///   override reaches every routability/satisfaction question of the
+    ///   run.
+    /// * Progress events are advisory; emitting them must not change the
+    ///   result.
+    ///
+    /// # Errors
+    ///
+    /// Algorithm-specific failures (infeasibility, LP errors) plus
+    /// [`RecoveryError::DeadlineExceeded`] / [`RecoveryError::Cancelled`]
+    /// from the context.
+    pub fn solve(
+        &self,
+        problem: &RecoveryProblem,
+        ctx: &mut SolveContext<'_>,
+    ) -> Result<RecoveryPlan, RecoveryError> {
+        match self {
+            SolverSpec::Isp(config) => solve_isp_in(problem, config, ctx).map(|(plan, _)| plan),
+            SolverSpec::Opt(config) => solve_opt_in(problem, config, ctx),
+            SolverSpec::Srt => solve_srt_in(problem, ctx),
+            SolverSpec::GrdCom(config) => solve_grd_com_in(problem, config, ctx),
+            SolverSpec::GrdNc(config) => solve_grd_nc_in(problem, config, ctx),
+            SolverSpec::Mcb(config) => solve_mcf_relax_in(problem, McfExtreme::Best, config, ctx),
+            SolverSpec::Mcw => {
+                solve_mcf_relax_in(problem, McfExtreme::Worst, &McfRelaxConfig::default(), ctx)
+            }
+            SolverSpec::All => solve_all_in(problem, ctx),
         }
     }
 
@@ -271,12 +292,12 @@ fn apply_option(spec: &mut SolverSpec, key: &str, value: &str) -> Result<(), Sol
             "oracle" => config.oracle = parse_oracle(key, value)?,
             _ => return Err(unknown_key(name, key, "paths, hops, oracle")),
         },
-        SolverSpec::Mcb(config) | SolverSpec::Mcw(config) => match key {
+        SolverSpec::Mcb(config) => match key {
             "eliminations" => config.max_eliminations = parse_usize(key, value)?,
             "oracle" => config.oracle = Some(parse_oracle(key, value)?),
             _ => return Err(unknown_key(name, key, "eliminations, oracle")),
         },
-        SolverSpec::Srt | SolverSpec::All => {
+        SolverSpec::Srt | SolverSpec::Mcw | SolverSpec::All => {
             return Err(SolverParseError {
                 message: format!("{name} takes no options (got `{key}={value}`)"),
                 suggestion: None,
@@ -333,7 +354,7 @@ impl fmt::Display for SolverSpec {
                     options.push(format!("oracle={}", config.oracle));
                 }
             }
-            SolverSpec::Mcb(config) | SolverSpec::Mcw(config) => {
+            SolverSpec::Mcb(config) => {
                 let defaults = McfRelaxConfig::default();
                 if config.max_eliminations != defaults.max_eliminations {
                     options.push(format!("eliminations={}", config.max_eliminations));
@@ -342,7 +363,7 @@ impl fmt::Display for SolverSpec {
                     options.push(format!("oracle={oracle}"));
                 }
             }
-            SolverSpec::Srt | SolverSpec::All => {}
+            SolverSpec::Srt | SolverSpec::Mcw | SolverSpec::All => {}
         }
         let name = match self {
             SolverSpec::Isp(_) => "isp",
@@ -351,7 +372,7 @@ impl fmt::Display for SolverSpec {
             SolverSpec::GrdCom(_) => "grd-com",
             SolverSpec::GrdNc(_) => "grd-nc",
             SolverSpec::Mcb(_) => "mcb",
-            SolverSpec::Mcw(_) => "mcw",
+            SolverSpec::Mcw => "mcw",
             SolverSpec::All => "all",
         };
         if options.is_empty() {
@@ -482,7 +503,7 @@ pub fn registry() -> Vec<SolverInfo> {
         },
         SolverInfo {
             spec: SolverSpec::mcw(),
-            syntax: "mcw[:eliminations=N,oracle=SPEC] (alias mcf:worst)",
+            syntax: "mcw (alias mcf:worst)",
             summary: "multi-commodity relaxation, most-repairs extraction",
         },
         SolverInfo {
@@ -530,7 +551,6 @@ mod tests {
             "grd-com:paths=4,hops=12",
             "grd-nc:oracle=cached-exact",
             "mcb:eliminations=3",
-            "mcw:oracle=exact",
             "isp:oracle=auto:8000",
             "grd-nc:oracle=auto:8000",
         ] {
@@ -558,9 +578,9 @@ mod tests {
     fn mcf_alias_selects_the_extreme() {
         assert_eq!(SolverSpec::parse("mcf:best").unwrap(), SolverSpec::mcb());
         assert_eq!(SolverSpec::parse("mcf:worst").unwrap(), SolverSpec::mcw());
-        let spec = SolverSpec::parse("mcf:worst,eliminations=5").unwrap();
+        let spec = SolverSpec::parse("mcf:best,eliminations=5").unwrap();
         match spec {
-            SolverSpec::Mcw(config) => assert_eq!(config.max_eliminations, 5),
+            SolverSpec::Mcb(config) => assert_eq!(config.max_eliminations, 5),
             other => panic!("{other:?}"),
         }
         assert!(SolverSpec::parse("mcf").is_err());
@@ -585,6 +605,15 @@ mod tests {
         assert!(SolverSpec::parse("opt:budget=many").is_err());
         assert!(SolverSpec::parse("srt:paths=2").is_err());
         assert!(SolverSpec::parse("all:x=y").is_err());
+        // MCW's extraction reads no option, so it takes none.
+        for s in [
+            "mcw:oracle=exact",
+            "mcw:eliminations=3",
+            "mcf:worst,eliminations=5",
+        ] {
+            let err = SolverSpec::parse(s).unwrap_err();
+            assert!(err.message.contains("MCW"), "{s}: {err}");
+        }
         assert!(SolverSpec::parse("grd-nc:paths").is_err());
         assert!(SolverSpec::parse("grd-nc:oracle=tea-leaves").is_err());
         // Retired spellings.

@@ -1,9 +1,6 @@
-use netrec_core::heuristics::{
-    all::solve_all,
-    opt::{solve_opt, OptConfig},
-    srt::solve_srt,
-};
-use netrec_core::{solve_isp_with_stats, IspConfig, RecoveryProblem};
+use netrec_core::heuristics::opt::OptConfig;
+use netrec_core::isp::solve_isp_in;
+use netrec_core::{IspConfig, RecoveryProblem, SolveContext, SolverSpec};
 use netrec_disrupt::DisruptionModel;
 use netrec_topology::{
     bell::bell_canada,
@@ -32,7 +29,7 @@ fn bell_canada_full_destruction_smoke() {
     }
 
     let t0 = Instant::now();
-    let (isp, stats) = solve_isp_with_stats(&p, &IspConfig::default()).unwrap();
+    let (isp, stats) = solve_isp_in(&p, &IspConfig::default(), &mut SolveContext::new()).unwrap();
     let isp_time = t0.elapsed();
     eprintln!(
         "ISP: {} repairs in {:?} ({} iters, {} splits, {} prunes, fallback={})",
@@ -49,7 +46,9 @@ fn bell_canada_full_destruction_smoke() {
     );
 
     let t0 = Instant::now();
-    let srt = solve_srt(&p);
+    let srt = SolverSpec::srt()
+        .solve(&p, &mut SolveContext::new())
+        .unwrap();
     eprintln!(
         "SRT: {} repairs in {:?}, satisfied {:.2}",
         srt.total_repairs(),
@@ -57,17 +56,17 @@ fn bell_canada_full_destruction_smoke() {
         srt.satisfied_fraction(&p).unwrap()
     );
 
-    let all = solve_all(&p);
+    let all = SolverSpec::all()
+        .solve(&p, &mut SolveContext::new())
+        .unwrap();
     eprintln!("ALL: {} repairs", all.total_repairs());
 
     let t0 = Instant::now();
-    let opt = solve_opt(
-        &p,
-        &OptConfig {
-            node_budget: Some(50),
-            warm_start: true,
-        },
-    )
+    let opt = SolverSpec::Opt(OptConfig {
+        node_budget: Some(50),
+        warm_start: true,
+    })
+    .solve(&p, &mut SolveContext::new())
     .unwrap();
     eprintln!(
         "OPT: {} repairs in {:?} (fallback={})",

@@ -4,7 +4,7 @@
 //! components; dropping it must never make plans infeasible, and on the
 //! paper's Bell-Canada workload it should not produce *cheaper* plans.
 
-use netrec_core::{solve_isp, IspConfig, MetricMode, RecoveryProblem};
+use netrec_core::{IspConfig, MetricMode, RecoveryProblem, SolveContext, SolverSpec};
 use netrec_disrupt::DisruptionModel;
 use netrec_topology::bell::bell_canada;
 use netrec_topology::demand::{generate_demands, DemandSpec};
@@ -36,21 +36,17 @@ fn dynamic_metric_is_never_worse_on_average() {
     let mut hops_total = 0usize;
     for seed in [11u64, 22, 33] {
         let p = bell_problem(seed);
-        let dynamic = solve_isp(
-            &p,
-            &IspConfig {
-                metric: MetricMode::Dynamic,
-                ..Default::default()
-            },
-        )
+        let dynamic = SolverSpec::Isp(IspConfig {
+            metric: MetricMode::Dynamic,
+            ..Default::default()
+        })
+        .solve(&p, &mut SolveContext::new())
         .unwrap();
-        let hops = solve_isp(
-            &p,
-            &IspConfig {
-                metric: MetricMode::Hops,
-                ..Default::default()
-            },
-        )
+        let hops = SolverSpec::Isp(IspConfig {
+            metric: MetricMode::Hops,
+            ..Default::default()
+        })
+        .solve(&p, &mut SolveContext::new())
         .unwrap();
         // Both must be feasible regardless of metric.
         assert!(dynamic.verify_routable(&p).unwrap());

@@ -136,13 +136,12 @@ fn exact_equivalent_oracles_plan_identically_for_every_solver() {
             },
         ];
         for entry in registry() {
-            let solver = entry.spec.build();
             let mut plans = Vec::new();
             for spec in &overrides {
                 let mut ctx = SolveContext::new()
                     .with_deadline(Duration::from_secs(60))
                     .with_oracle(spec.clone());
-                let plan = solver.solve(&problem, &mut ctx).unwrap_or_else(|e| {
+                let plan = entry.spec.solve(&problem, &mut ctx).unwrap_or_else(|e| {
                     panic!("{} with {spec:?} on {fixture_name}: {e}", entry.name())
                 });
                 assert!(
@@ -176,9 +175,9 @@ fn exact_equivalent_oracles_plan_identically_for_every_solver() {
 fn every_registry_entry_solves_the_fixtures_within_deadline() {
     for (fixture_name, problem) in [("two_lines", two_lines()), ("diamond", diamond())] {
         for entry in registry() {
-            let solver = entry.spec.build();
             let mut ctx = SolveContext::new().with_deadline(Duration::from_secs(60));
-            let plan = solver
+            let plan = entry
+                .spec
                 .solve(&problem, &mut ctx)
                 .unwrap_or_else(|e| panic!("{} on {fixture_name}: {e}", entry.name()));
             assert_eq!(plan.algorithm, entry.name(), "{fixture_name}");
@@ -195,10 +194,9 @@ fn every_registry_entry_solves_the_fixtures_within_deadline() {
 fn zero_deadline_makes_every_solver_return_deadline_exceeded() {
     let problem = diamond();
     for entry in registry() {
-        let solver = entry.spec.build();
         let mut ctx = SolveContext::new().with_deadline(Duration::ZERO);
         assert_eq!(
-            solver.solve(&problem, &mut ctx).unwrap_err(),
+            entry.spec.solve(&problem, &mut ctx).unwrap_err(),
             RecoveryError::DeadlineExceeded,
             "{}",
             entry.name()
@@ -211,10 +209,9 @@ fn raised_cancellation_flag_cancels_every_solver() {
     let problem = diamond();
     let cancelled = AtomicBool::new(true);
     for entry in registry() {
-        let solver = entry.spec.build();
         let mut ctx = SolveContext::new().with_cancel_flag(&cancelled);
         assert_eq!(
-            solver.solve(&problem, &mut ctx).unwrap_err(),
+            entry.spec.solve(&problem, &mut ctx).unwrap_err(),
             RecoveryError::Cancelled,
             "{}",
             entry.name()
@@ -228,7 +225,6 @@ fn cancellation_mid_run_stops_isp() {
     // the run must stop with Cancelled instead of finishing.
     let problem = diamond();
     let cancelled = AtomicBool::new(false);
-    let solver = SolverSpec::isp().build();
     let mut ctx = SolveContext::new()
         .with_cancel_flag(&cancelled)
         .with_progress(|event| {
@@ -243,7 +239,7 @@ fn cancellation_mid_run_stops_isp() {
             }
         });
     assert_eq!(
-        solver.solve(&problem, &mut ctx).unwrap_err(),
+        SolverSpec::isp().solve(&problem, &mut ctx).unwrap_err(),
         RecoveryError::Cancelled
     );
 }
@@ -254,7 +250,7 @@ fn progress_events_cover_stages_repairs_and_oracle() {
     let mut events: Vec<ProgressEvent> = Vec::new();
     {
         let mut ctx = SolveContext::new().with_progress(|e| events.push(e.clone()));
-        SolverSpec::isp().build().solve(&problem, &mut ctx).unwrap();
+        SolverSpec::isp().solve(&problem, &mut ctx).unwrap();
     }
     assert!(
         events
@@ -337,8 +333,8 @@ proptest! {
         prop_assert_eq!(&decoded, &spec, "{}", encoded);
 
         let problem = two_lines();
-        let plan_a = spec.build().solve(&problem, &mut SolveContext::new()).unwrap();
-        let plan_b = decoded.build().solve(&problem, &mut SolveContext::new()).unwrap();
+        let plan_a = spec.solve(&problem, &mut SolveContext::new()).unwrap();
+        let plan_b = decoded.solve(&problem, &mut SolveContext::new()).unwrap();
         prop_assert_eq!(plan_a.repaired_nodes, plan_b.repaired_nodes);
         prop_assert_eq!(plan_a.repaired_edges, plan_b.repaired_edges);
         prop_assert_eq!(plan_a.algorithm, plan_b.algorithm);

@@ -892,7 +892,8 @@ impl Server {
     }
 
     /// Drains queued work, stops the pool, joins every thread
-    /// (including respawned workers), and returns the latency report.
+    /// (including respawned workers), fsyncs the write-ahead log, and
+    /// returns the latency report.
     pub fn finish(self) -> ServeReport {
         self.shared.sched.stop();
         // Joining pops one handle at a time: a worker that dies during
@@ -917,6 +918,13 @@ impl Server {
             .unwrap_or_else(PoisonError::into_inner);
         for t in conn_threads {
             let _ = t.join();
+        }
+        // Every thread that could append is joined: make the log's tail
+        // durable, which `interval` and `off` leave to this point.
+        if let Some(wal) = &self.shared.wal {
+            if let Err(e) = wal.sync() {
+                eprintln!("serve: wal shutdown fsync failed: {e}");
+            }
         }
         let table = self
             .shared
@@ -1604,7 +1612,11 @@ not json at all
     /// The sim crate's boot sequence in miniature: open the log,
     /// restore checkpoint + replay suffix, attach.
     fn wal_engine(dir: &Path, segment_records: u64) -> Arc<Engine> {
-        let (wal, boot) = Wal::open(dir, SyncPolicy::Always, segment_records).unwrap();
+        wal_engine_with(dir, SyncPolicy::Always, segment_records)
+    }
+
+    fn wal_engine_with(dir: &Path, policy: SyncPolicy, segment_records: u64) -> Arc<Engine> {
+        let (wal, boot) = Wal::open(dir, policy, segment_records).unwrap();
         let engine = Engine::new(problem(), SolverSpec::parse("isp").unwrap());
         if let Some(cp) = &boot.checkpoint {
             engine.restore_checkpoint(cp).unwrap();
@@ -1614,6 +1626,22 @@ not json at all
         }
         engine.attach_wal(Arc::new(wal));
         Arc::new(engine)
+    }
+
+    /// A graceful shutdown fsyncs what the interval flusher has not yet
+    /// reached (no flusher runs here, and its 60 s tick never comes).
+    #[test]
+    fn graceful_shutdown_fsyncs_the_log() {
+        let dir = wal_scratch("shutdown_sync");
+        let engine = wal_engine_with(&dir, SyncPolicy::Interval(60_000), 1024);
+        let stream = r#"{"v":1,"id":"d1","op":"disrupt","edges":[1,3],"cost":1.0}
+{"v":1,"id":"z","op":"shutdown"}
+"#;
+        run_stream(Arc::clone(&engine), 2, stream);
+        let health = engine.wal().unwrap().health();
+        assert_eq!(health.appended_seq, 2);
+        assert_eq!(health.durable_seq, 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -403,7 +403,6 @@ impl Session {
         deadline_at: Option<Instant>,
         inject_fault: bool,
     ) -> Result<RecoveryPlan, RecoveryError> {
-        let solver = spec.build();
         let mut ctx = SolveContext::new();
         if let Some(at) = deadline_at {
             ctx = ctx.with_deadline_at(at);
@@ -411,7 +410,7 @@ impl Session {
         if inject_fault {
             ctx = ctx.with_injected_fault();
         }
-        let mut plan = solver.solve(&self.problem, &mut ctx)?;
+        let mut plan = spec.solve(&self.problem, &mut ctx)?;
         plan.normalize();
         self.last_plan.replace(Some(StalePlan {
             plan: plan.clone(),
@@ -820,10 +819,7 @@ mod tests {
         let mut scratch = (*base()).clone();
         scratch.break_edge(EdgeId::new(3), 1.0).unwrap();
         scratch.break_node(NodeId::new(1), 1.0).unwrap();
-        let mut cold = spec
-            .build()
-            .solve(&scratch, &mut SolveContext::new())
-            .unwrap();
+        let mut cold = spec.solve(&scratch, &mut SolveContext::new()).unwrap();
         cold.normalize();
         assert_eq!(warm.repaired_nodes, cold.repaired_nodes);
         assert_eq!(warm.repaired_edges, cold.repaired_edges);

@@ -168,12 +168,11 @@ fn script_lines() -> Vec<String> {
     lines
 }
 
-/// Cold solve: fresh solver, fresh context, normalized plan — exactly
-/// what the daemon promises each `query_plan` is equivalent to.
+/// Cold solve: fresh context, normalized plan — exactly what the daemon
+/// promises each `query_plan` is equivalent to.
 fn solve_from_scratch(problem: &RecoveryProblem, spec: &SolverSpec) -> RecoveryPlan {
-    let solver = spec.build();
     let mut ctx = SolveContext::new();
-    let mut plan = solver.solve(problem, &mut ctx).unwrap();
+    let mut plan = spec.solve(problem, &mut ctx).unwrap();
     plan.normalize();
     plan
 }

@@ -410,11 +410,9 @@ pub fn run(opts: &CliOptions) -> Result<String, UsageError> {
         out.push_str(&format!("demand: {s} <-> {t}  ({d} units)\n"));
     }
 
-    // One trait-object dispatch: the spec picked any of the registry's
-    // solvers with its inline configuration. The progress listener
-    // captures the solver's final oracle-counter snapshot for
-    // --oracle-stats.
-    let solver = opts.algorithm.build();
+    // One dispatch: the spec picked any of the registry's solvers with
+    // its inline configuration. The progress listener captures the
+    // solver's final oracle-counter snapshot for --oracle-stats.
     let mut solver_oracle_stats: Option<OracleStats> = None;
     let plan = {
         let mut ctx = SolveContext::new();
@@ -426,7 +424,7 @@ pub fn run(opts: &CliOptions) -> Result<String, UsageError> {
                 solver_oracle_stats = Some(*stats);
             }
         });
-        match solver.solve(&problem, &mut ctx) {
+        match opts.algorithm.solve(&problem, &mut ctx) {
             Ok(plan) => plan,
             Err(e) => {
                 out.push_str(&format!("\nno recovery plan: {e}\n"));

@@ -1,12 +1,12 @@
 //! Executes scenarios and aggregates results.
 //!
-//! Every solver runs through the unified [`RecoverySolver`] trait: the
-//! runner iterates the scenario's `Vec<SolverSpec>`, builds each spec
-//! once, and gives every run a fresh
-//! [`SolveContext`](netrec_core::solver::SolveContext) carrying the
-//! scenario's oracle override — there is no per-algorithm dispatch left
-//! here, so an eighth algorithm is a new `SolverSpec` variant, not a new
-//! `match` arm.
+//! Every solver runs through
+//! [`SolverSpec::solve`](netrec_core::solver::SolverSpec::solve): the
+//! runner iterates the scenario's `Vec<SolverSpec>` and gives every run a
+//! fresh [`SolveContext`] carrying the scenario's oracle override — there is
+//! no per-algorithm dispatch here, so an eighth algorithm is a new
+//! `SolverSpec` variant and its arm in `solve`, with nothing to change
+//! in the runner.
 //!
 //! Runs within a scenario are independent (each builds its own problem
 //! from `seed + run` and owns its oracle instance), so [`run_scenario`]
@@ -20,7 +20,7 @@
 
 use crate::scenario::Scenario;
 use crate::stats::{summarize, FailurePoint, FigureTable, SeriesPoint};
-use netrec_core::solver::{ProgressEvent, RecoverySolver, SolveContext};
+use netrec_core::solver::{ProgressEvent, SolveContext};
 use netrec_core::{OracleStats, RecoveryProblem};
 use netrec_topology::demand::generate_demands;
 use std::collections::BTreeMap;
@@ -140,12 +140,7 @@ struct RunOutput {
 }
 
 /// Executes every solver on one run's problem instance.
-fn execute_run(
-    scenario: &Scenario,
-    solvers: &[Box<dyn RecoverySolver>],
-    run: u64,
-    limits: RunLimits<'_>,
-) -> RunOutput {
+fn execute_run(scenario: &Scenario, run: u64, limits: RunLimits<'_>) -> RunOutput {
     let mut out = RunOutput {
         samples: Vec::new(),
         failures: Vec::new(),
@@ -156,16 +151,16 @@ fn execute_run(
             // A topology that cannot be built fails every solver of the
             // run identically — the cause stays visible per solver in
             // the report instead of panicking the worker thread.
-            for solver in solvers {
+            for spec in &scenario.solvers {
                 out.failures
-                    .push((solver.name().to_string(), format!("topology: {cause}")));
+                    .push((spec.name().to_string(), format!("topology: {cause}")));
             }
             return out;
         }
     };
     // The ALL value also serves as the destruction size reference.
-    for solver in solvers {
-        let name = solver.name().to_string();
+    for spec in &scenario.solvers {
+        let name = spec.name().to_string();
         // Oracle-aware solvers snapshot their counters as a progress
         // event; the per-run report surfaces them as metrics.
         let mut oracle_stats: Option<OracleStats> = None;
@@ -181,7 +176,7 @@ fn execute_run(
                 }
             });
             let started = Instant::now();
-            (solver.solve(&problem, &mut ctx), started.elapsed())
+            (spec.solve(&problem, &mut ctx), started.elapsed())
         };
         match outcome {
             (Ok(plan), elapsed) => {
@@ -247,10 +242,6 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
 /// `Cancelled` failure records rather than blocking its shard.
 pub fn run_scenario_bounded(scenario: &Scenario, limits: RunLimits<'_>) -> ScenarioResult {
     let runs = scenario.runs;
-    // Build each spec once; the trait objects are Sync and shared by all
-    // workers.
-    let solvers: Vec<Box<dyn RecoverySolver>> =
-        scenario.solvers.iter().map(|spec| spec.build()).collect();
     let workers = scenario
         .threads
         .unwrap_or_else(|| {
@@ -265,13 +256,12 @@ pub fn run_scenario_bounded(scenario: &Scenario, limits: RunLimits<'_>) -> Scena
 
     if workers <= 1 {
         for (run, slot) in outputs.iter_mut().enumerate() {
-            *slot = Some(execute_run(scenario, &solvers, run as u64, limits));
+            *slot = Some(execute_run(scenario, run as u64, limits));
         }
     } else {
         // Work-stealing over the run indices with scoped threads; each
         // worker returns (run, output) pairs that are merged afterwards.
         let next = AtomicUsize::new(0);
-        let solvers = &solvers;
         let collected = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
@@ -282,7 +272,7 @@ pub fn run_scenario_bounded(scenario: &Scenario, limits: RunLimits<'_>) -> Scena
                             if run >= runs {
                                 break;
                             }
-                            local.push((run, execute_run(scenario, solvers, run as u64, limits)));
+                            local.push((run, execute_run(scenario, run as u64, limits)));
                         }
                         local
                     })
@@ -517,7 +507,6 @@ mod tests {
             let mut scenario = scenario.with_oracle(netrec_core::OracleSpec::Auto { threshold: 0 });
             scenario.solvers = vec![SolverSpec::isp()];
             scenario.runs = 2;
-            let solver = SolverSpec::isp().build();
             for run in 0..scenario.runs {
                 let problem = build_problem(&scenario, run as u64).unwrap();
                 let mut ctx = SolveContext::new()
@@ -527,7 +516,7 @@ mod tests {
                             ran_approx |= stats.approx_runs > 0;
                         }
                     });
-                match solver.solve(&problem, &mut ctx) {
+                match SolverSpec::isp().solve(&problem, &mut ctx) {
                     Ok(plan) => {
                         assert!(
                             plan.verify_routable(&problem).unwrap(),

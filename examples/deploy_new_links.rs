@@ -14,8 +14,7 @@
 //! half-ring's capacity (10), so capacity must come back on the destroyed
 //! side — either by rebuilding the arc or by deploying one new chord.
 
-use netrec::core::heuristics::opt::{solve_opt, OptConfig};
-use netrec::core::{solve_isp, IspConfig, RecoveryError, RecoveryProblem};
+use netrec::core::{RecoveryError, RecoveryProblem, SolveContext, SolverSpec};
 use netrec::graph::Graph;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,8 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for (label, with_candidates) in [("repair only", false), ("repair or deploy", true)] {
         let p = build(with_candidates)?;
-        let isp = solve_isp(&p, &IspConfig::default())?;
-        let opt = solve_opt(&p, &OptConfig::default())?;
+        let isp = SolverSpec::isp().solve(&p, &mut SolveContext::new())?;
+        let opt = SolverSpec::opt().solve(&p, &mut SolveContext::new())?;
         println!("{label}:");
         println!(
             "  ISP: {} actions, cost {:.1}  (nodes {:?}, edges {:?})",

@@ -7,9 +7,9 @@
 //! Gaussian, as in §VII-A3) hits the Bell-Canada-like carrier network.
 //! Four mission-critical services of 10 flow units each must be restored.
 //! We iterate the **solver registry** — every algorithm of the paper's
-//! §VI behind the unified `RecoverySolver` trait — and report repairs,
-//! cost, and demand loss. Adding an eighth algorithm to the registry
-//! would add a row here with no code change.
+//! §VI, each run by `SolverSpec::solve` — and report repairs, cost, and
+//! demand loss. Adding an eighth algorithm to the registry would add a
+//! row here with no code change.
 
 use netrec::core::solver::{registry, SolveContext, SolverSpec};
 use netrec::core::RecoveryProblem;
@@ -66,9 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             SolverSpec::Opt(_) => SolverSpec::parse("opt:budget=200")?,
             spec => spec,
         };
-        let solver = spec.build();
         let t = Instant::now();
-        match solver.solve(&problem, &mut SolveContext::new()) {
+        match spec.solve(&problem, &mut SolveContext::new()) {
             Ok(plan) => {
                 let sat = plan
                     .satisfied_fraction(&problem)

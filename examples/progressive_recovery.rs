@@ -43,9 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         demands.len()
     );
 
-    let plan = SolverSpec::isp()
-        .build()
-        .solve(&problem, &mut SolveContext::new())?;
+    let plan = SolverSpec::isp().solve(&problem, &mut SolveContext::new())?;
     println!(
         "ISP plan: {} repairs (of {} broken)\n",
         plan.total_repairs(),

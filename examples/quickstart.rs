@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Plan the recovery: solver choice is a string, cross-cutting rules
     // (deadline, progress) live on the context.
-    let solver = SolverSpec::parse("isp")?.build();
+    let spec = SolverSpec::parse("isp")?;
     let mut ctx = SolveContext::new()
         .with_deadline(Duration::from_secs(10))
         .with_progress(|event| {
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 println!("  [{solver}] {stage}");
             }
         });
-    let plan = solver.solve(&problem, &mut ctx)?;
+    let plan = spec.solve(&problem, &mut ctx)?;
 
     println!(
         "\n{} recovery plan ({} iterations):",

@@ -20,9 +20,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The line-up as data: the same specs a scenario file or `--algo`
     // would carry.
     let solvers = [
-        SolverSpec::isp().build(),
-        SolverSpec::parse("opt:budget=100")?.build(),
-        SolverSpec::srt().build(),
+        SolverSpec::isp(),
+        SolverSpec::parse("opt:budget=100")?,
+        SolverSpec::srt(),
     ];
     println!("Erdős–Rényi n = {n}, 5 unit demand pairs, capacity 1000, full destruction\n");
     println!(
@@ -52,9 +52,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let mut repairs = Vec::new();
         let mut times = Vec::new();
-        for solver in &solvers {
+        for spec in &solvers {
             let t0 = Instant::now();
-            let plan = solver.solve(&problem, &mut SolveContext::new())?;
+            let plan = spec.solve(&problem, &mut SolveContext::new())?;
             times.push(t0.elapsed().as_secs_f64());
             repairs.push(plan.total_repairs());
         }

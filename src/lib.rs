@@ -21,8 +21,8 @@
 //! # Quickstart
 //!
 //! Solvers are selected as data through [`core::solver::SolverSpec`]
-//! (`"isp"`, `"grd-nc:paths=8"`, `"mcf:worst"`, …) and run behind the
-//! unified [`core::solver::RecoverySolver`] trait:
+//! (`"isp"`, `"grd-nc:paths=8"`, `"mcf:worst"`, …) and run by
+//! [`SolverSpec::solve`](core::solver::SolverSpec::solve):
 //!
 //! ```
 //! use netrec::core::solver::{SolveContext, SolverSpec};
@@ -41,8 +41,8 @@
 //! problem.break_node(problem.graph().node(1), 1.0)?;
 //! problem.break_node(problem.graph().node(2), 1.0)?;
 //!
-//! let solver = SolverSpec::parse("isp")?.build();
-//! let plan = solver.solve(&problem, &mut SolveContext::new())?;
+//! let spec = SolverSpec::parse("isp")?;
+//! let plan = spec.solve(&problem, &mut SolveContext::new())?;
 //! // Repairing one of the two relays suffices to route the 5 units.
 //! assert_eq!(plan.repaired_nodes.len(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -1,8 +1,8 @@
 //! Property-based tests over the core invariants of the recovery stack:
 //! randomized graphs, demands, and disruptions.
 
-use netrec::core::heuristics::opt::{solve_opt, OptConfig};
-use netrec::core::{solve_isp, IspConfig, RecoveryError, RecoveryProblem};
+use netrec::core::heuristics::opt::OptConfig;
+use netrec::core::{RecoveryError, RecoveryProblem, SolveContext, SolverSpec};
 use netrec::graph::{cut, maxflow, traversal, Graph, NodeId};
 use netrec::lp::mcf::{self, Demand};
 use netrec::lp::{simplex, LpProblem, LpStatus, Relation, Sense};
@@ -148,7 +148,7 @@ proptest! {
                 p.break_edge(netrec::graph::EdgeId::new(i), 1.0).unwrap();
             }
         }
-        match solve_isp(&p, &IspConfig::default()) {
+        match SolverSpec::isp().solve(&p, &mut SolveContext::new()) {
             Ok(plan) => prop_assert!(plan.verify_routable(&p).unwrap()),
             Err(RecoveryError::InfeasibleEvenIfAllRepaired) => {
                 // Must genuinely be infeasible on the full graph.
@@ -177,8 +177,10 @@ proptest! {
         for i in 0..p.graph().edge_count() {
             p.break_edge(netrec::graph::EdgeId::new(i), 1.0).unwrap();
         }
-        let isp = solve_isp(&p, &IspConfig::default()).unwrap();
-        let opt = solve_opt(&p, &OptConfig { node_budget: Some(120), warm_start: true }).unwrap();
+        let isp = SolverSpec::isp().solve(&p, &mut SolveContext::new()).unwrap();
+        let opt = SolverSpec::Opt(OptConfig { node_budget: Some(120), warm_start: true })
+            .solve(&p, &mut SolveContext::new())
+            .unwrap();
         prop_assert!(opt.repair_cost(&p) <= isp.repair_cost(&p) + 1e-9);
         prop_assert!(opt.verify_routable(&p).unwrap());
     }
